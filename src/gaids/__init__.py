@@ -20,7 +20,6 @@ from .ingest import (
     summarize,
     to_connection_record,
 )
-from .kernels import BACKEND
 from .metrics import (
     BinaryCounts,
     ConfusionMatrix,
@@ -36,7 +35,6 @@ from .model import (
     ChromosomeModel,
     distance,
     load_model,
-    merge_record,
     nearest_chromosome,
     precalculate,
     save_model,
@@ -46,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ATTACK_CATEGORIES",
-    "BACKEND",
     "BinaryCounts",
     "Candidate",
     "CATEGORIES",
@@ -68,7 +65,6 @@ __all__ = [
     "false_positive_rate",
     "fit_normalization",
     "load_model",
-    "merge_record",
     "nearest_chromosome",
     "normalize",
     "parse_record",

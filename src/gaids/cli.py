@@ -3,8 +3,8 @@
 Option precedence is CLI flag > config file > built-in default. The config
 file is flat key=value text with keys matching the long flag names.
 
-Exit codes: 0 success, 2 config/usage error, 3 data parse error,
-4 model error.
+Exit codes: 0 success, 2 config/usage error or a file that cannot be
+read or written (OSError), 3 data parse error, 4 model error.
 """
 
 from __future__ import annotations
@@ -285,7 +285,9 @@ def main(argv=None) -> int:
     except (ModelFormatError, EmptyModel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except GaidsError as exc:
+    except BrokenPipeError:
+        raise  # handled quietly by run()
+    except (GaidsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

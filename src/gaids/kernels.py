@@ -1,33 +1,52 @@
-"""Kernel backend selection.
+"""Hot distance kernels (numpy): scalar distance, nearest-centroid scan and
+the spread-normalized population fitness scan.
 
-The compiled extension is used when it built; set GAIDS_PURE_PYTHON=1 to
-force the numpy fallback. Either backend is fully deterministic on its own;
-see _kernels_py for the cross-backend ulp caveat.
+All three are deterministic; ties resolve to the lowest index (np.argmin).
 """
 
 from __future__ import annotations
 
-import os
+import math
+
+import numpy as np
 
 
-def _resolve(force_python: bool = False):
-    if force_python or os.environ.get("GAIDS_PURE_PYTHON"):
-        from . import _kernels_py
-
-        return _kernels_py
-    try:
-        from . import _kernels  # type: ignore[attr-defined]
-
-        return _kernels
-    except ImportError:
-        from . import _kernels_py
-
-        return _kernels_py
+def distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Dimension-normalized Euclidean distance sqrt(sum((a-b)^2)/n)."""
+    d = a - b
+    return math.sqrt(float((d * d).sum()) / a.shape[0])
 
 
-_impl = _resolve()
+def nearest_centroid(x: np.ndarray, centroids: np.ndarray) -> tuple[int, float]:
+    """Index and distance of the row of `centroids` nearest to `x`.
 
-BACKEND: str = _impl.BACKEND
-distance = _impl.distance
-nearest_centroid = _impl.nearest_centroid
-batch_fitness = _impl.batch_fitness
+    Ties resolve to the lowest index.
+    """
+    diff = centroids - x
+    d2 = (diff * diff).sum(axis=1)
+    idx = int(np.argmin(d2))
+    return idx, math.sqrt(float(d2[idx]) / centroids.shape[1])
+
+
+def batch_fitness(
+    genes: np.ndarray,
+    centroids: np.ndarray,
+    spreads: np.ndarray,
+    eps: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spread-normalized nearest scan for a population.
+
+    For each row g of `genes`, minimizes distance(g, centroid_k)/(spread_k+eps)
+    over all k. Returns (min values, argmin indices), ties to the lowest index.
+    """
+    n = centroids.shape[1]
+    denom = spreads + eps
+    out = np.empty(genes.shape[0], dtype=np.float64)
+    idx = np.empty(genes.shape[0], dtype=np.intp)
+    for i in range(genes.shape[0]):
+        diff = centroids - genes[i]
+        z = np.sqrt((diff * diff).sum(axis=1) / n) / denom
+        k = int(np.argmin(z))
+        idx[i] = k
+        out[i] = z[k]
+    return out, idx

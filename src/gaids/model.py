@@ -23,7 +23,7 @@ from .errors import (
     ModelFormatError,
     ModelVersionMismatch,
 )
-from .ingest import ConnectionRecord, NormalizationStats
+from .ingest import CATEGORIES, ConnectionRecord, NormalizationStats
 
 MODEL_FORMAT_TAG = "gaids-model"
 MODEL_FORMAT_VERSION = "1"
@@ -46,10 +46,6 @@ class Chromosome:
     member_count: int = 1
     spread: float = 0.0
     group_label: str = ""
-    # Welford accumulators over the member-distance stream (training state,
-    # not persisted; the seed record contributes distance 0).
-    _dist_mean: float = field(default=0.0, repr=False, compare=False)
-    _dist_m2: float = field(default=0.0, repr=False, compare=False)
 
 
 @dataclass
@@ -112,29 +108,6 @@ class ChromosomeModel:
         return state
 
 
-def merge_record(c: Chromosome, x: np.ndarray, precomputed_distance: float | None = None) -> Chromosome:
-    """Fold one record into a chromosome (in place; returns the same object).
-
-    The centroid moves to the running mean; the spread takes the record's
-    distance to the pre-merge centroid into its running standard deviation.
-    """
-    if x.shape != c.centroid.shape:
-        raise DimensionMismatch(
-            f"vector lengths differ: {x.shape[0]} vs {c.centroid.shape[0]}"
-        )
-    d = precomputed_distance
-    if d is None:
-        d = distance(x, c.centroid)
-    n = c.member_count + 1
-    c.centroid += (x - c.centroid) / n
-    c.member_count = n
-    delta = d - c._dist_mean
-    c._dist_mean += delta / n
-    c._dist_m2 += delta * (d - c._dist_mean)
-    c.spread = math.sqrt(c._dist_m2 / n)
-    return c
-
-
 class _GroupBuilder:
     """Capacity-doubling store for one group during precalculation."""
 
@@ -162,6 +135,9 @@ class _GroupBuilder:
         self.size += 1
 
     def merge(self, idx: int, x: np.ndarray, d: float) -> None:
+        """Fold x into chromosome idx: the centroid moves to the running mean
+        and d (x's distance to the pre-merge centroid) joins the running
+        (Welford) standard deviation that becomes the spread."""
         n = self.counts[idx] + 1
         row = self.centroids[idx]
         row += (x - row) / n
@@ -171,17 +147,15 @@ class _GroupBuilder:
         self.m2s[idx] += delta * (d - self.means[idx])
 
     def freeze(self) -> ChromosomeGroup:
-        chroms = []
-        for i in range(self.size):
-            c = Chromosome(
+        chroms = [
+            Chromosome(
                 centroid=self.centroids[i].copy(),
                 member_count=self.counts[i],
                 spread=math.sqrt(self.m2s[i] / self.counts[i]),
                 group_label=self.label,
             )
-            c._dist_mean = self.means[i]
-            c._dist_m2 = self.m2s[i]
-            chroms.append(c)
+            for i in range(self.size)
+        ]
         return ChromosomeGroup(label=self.label, category=self.category, chromosomes=chroms)
 
 
@@ -276,9 +250,14 @@ def save_model(model: ChromosomeModel, path) -> None:
 
 
 def load_model(path) -> ChromosomeModel:
-    """Read a model file; rejects unknown format tags/versions."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    """Read a model file; rejects unknown format tags/versions and rows a
+    trained model cannot hold (unknown category, member count below 1,
+    negative or non-finite spread, non-finite value, non-ASCII bytes)."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"not an ASCII file: {exc}") from None
     if not lines:
         raise ModelFormatError("empty model file")
     header = lines[0].split()
@@ -301,9 +280,12 @@ def load_model(path) -> ChromosomeModel:
                 f"expected {expected} values per row, got {len(tokens)}"
             )
         try:
-            return np.array([float(t) for t in tokens], dtype=np.float64)
+            row = np.array([float(t) for t in tokens], dtype=np.float64)
         except ValueError as exc:
             raise ModelFormatError(f"bad value: {exc}") from None
+        if not np.isfinite(row).all():
+            raise ModelFormatError("non-finite value in a model row")
+        return row
 
     feat_min = parse_row(lines[-2].split(), num_features)
     feat_max = parse_row(lines[-1].split(), num_features)
@@ -323,6 +305,12 @@ def load_model(path) -> ChromosomeModel:
             spread = float(tokens[3])
         except ValueError as exc:
             raise ModelFormatError(f"bad chromosome row: {exc}") from None
+        if category not in CATEGORIES:
+            raise ModelFormatError(f"unknown category {category!r}")
+        if count < 1:
+            raise ModelFormatError(f"member count {count} is below 1")
+        if not 0.0 <= spread < math.inf:
+            raise ModelFormatError(f"spread {spread!r} is not a finite non-negative number")
         centroid = parse_row(tokens[4:], num_features)
         chrom = Chromosome(
             centroid=centroid, member_count=count, spread=spread, group_label=label

@@ -106,6 +106,15 @@ class TestTrainCommand:
         )
         assert code == EXIT_CONFIG
 
+    def test_unwritable_model_out_exit_config(self, workspace, capsys):
+        tmp, train, _ = workspace
+        code, _, err = run_cli(
+            capsys, "train", "--train-file", str(train),
+            "--model-out", str(tmp / "no-such-dir" / "m.model"),
+        )
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ")
+
     def test_malformed_strict_exit_parse(self, tmp_path, capsys):
         bad = tmp_path / "bad.kdd"
         bad.write_text(REAL_LINES[0] + "\n1,2,3\n")
@@ -252,6 +261,36 @@ class TestEvaluateCommand:
         assert code == EXIT_OK
         assert stdout.startswith("cell,normal,normal,")
         assert "true_positive=" in stdout
+
+
+    @pytest.mark.parametrize(
+        "row, col, value, message",
+        [
+            (1, 1, b"bogus", "unknown category"),
+            (1, 2, b"0", "below 1"),
+            (1, 3, b"nan", "spread"),
+            (1, 3, b"-1.0", "spread"),
+            (1, 3, b"inf", "spread"),
+            (1, 4, b"nan", "non-finite"),
+            (-2, 0, b"-inf", "non-finite"),
+            (-1, 5, b"nan", "non-finite"),
+            (1, 0, b"n\xffrmal", "ASCII"),
+        ],
+    )
+    def test_corrupt_model_exit_model(self, workspace, capsys, row, col, value, message):
+        # Each row of a trained model file corrupted in one token.
+        tmp, train, test = workspace
+        model_path = tmp / "m.model"
+        run_cli(capsys, "train", "--train-file", str(train), "--model", str(model_path))
+        lines = [ln.split(b" ") for ln in model_path.read_bytes().splitlines()]
+        lines[row][col] = value
+        model_path.write_bytes(b"\n".join(b" ".join(ln) for ln in lines) + b"\n")
+        code, _, err = run_cli(
+            capsys, "evaluate", "--model", str(model_path), "--test-file", str(test),
+        )
+        assert code == EXIT_MODEL
+        assert err.startswith("error: ")
+        assert message in err
 
 
 class TestConfigFile:

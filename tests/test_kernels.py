@@ -1,81 +1,48 @@
-import importlib
-
 import numpy as np
 import pytest
 
-from gaids import _kernels_py, kernels
+from gaids import kernels
+from gaids.engine import SPREAD_EPSILON
 
-compiled = pytest.importorskip("gaids._kernels", reason="compiled kernels not built")
+from conftest import random_model
+from test_engine import bruteforce_fitness
 
 
-@pytest.fixture
-def data(rng):
-    genes = rng.random((16, 38))
+def test_exact_ties_resolve_to_first_index():
+    # Two centroids at exactly representable equal distances from x.
+    x = np.zeros(38)
+    centroids = np.zeros((3, 38))
+    centroids[0, 0] = 0.5
+    centroids[1, 1] = 0.5
+    centroids[2, 2] = 0.75
+    idx, _ = kernels.nearest_centroid(x, centroids)
+    assert idx == 0
+    _, which = kernels.batch_fitness(x[None, :], centroids, np.zeros(3), 1e-6)
+    assert which[0] == 0
+
+
+def test_scan_distance_equals_scalar_distance(rng):
+    # The merge decision and the spread stream must see the same float.
     centroids = rng.random((40, 38))
-    spreads = rng.random(40) * 0.1
-    return genes, centroids, spreads
+    for x in rng.random((16, 38)):
+        idx, d = kernels.nearest_centroid(x, centroids)
+        assert d == kernels.distance(x, centroids[idx])
 
 
-class TestBackendAgreement:
-    def test_distance(self, rng):
-        for _ in range(50):
-            a, b = rng.random(38), rng.random(38)
-            assert compiled.distance(a, b) == pytest.approx(
-                _kernels_py.distance(a, b), abs=1e-14
-            )
-
-    def test_nearest_centroid(self, data):
-        genes, centroids, _ = data
-        for x in genes:
-            x = np.ascontiguousarray(x)
-            ic, dc = compiled.nearest_centroid(x, centroids)
-            ip, dp = _kernels_py.nearest_centroid(x, centroids)
-            assert ic == ip
-            assert dc == pytest.approx(dp, abs=1e-14)
-
-    def test_batch_fitness(self, data):
-        genes, centroids, spreads = data
-        fc, ic = compiled.batch_fitness(genes, centroids, spreads, 1e-6)
-        fp, ip = _kernels_py.batch_fitness(genes, centroids, spreads, 1e-6)
-        assert np.array_equal(ic, ip)
-        np.testing.assert_allclose(fc, fp, atol=1e-12)
-
-    def test_exact_ties_resolve_to_first_index(self):
-        # Two centroids at exactly representable equal distances from x.
-        x = np.zeros(38)
-        centroids = np.zeros((3, 38))
-        centroids[0, 0] = 0.5
-        centroids[1, 1] = 0.5
-        centroids[2, 2] = 0.75
-        for mod in (compiled, _kernels_py):
-            idx, _ = mod.nearest_centroid(x, centroids)
-            assert idx == 0
-            _, which = mod.batch_fitness(x[None, :], centroids, np.zeros(3), 1e-6)
-            assert which[0] == 0
-
-    def test_scan_distance_equals_scalar_distance(self, data):
-        # The merge decision and the spread stream must see the same float.
-        genes, centroids, _ = data
-        for mod in (compiled, _kernels_py):
-            for x in genes:
-                x = np.ascontiguousarray(x)
-                idx, d = mod.nearest_centroid(x, centroids)
-                assert d == mod.distance(x, centroids[idx])
-
-
-class TestSelection:
-    def test_default_prefers_compiled(self, monkeypatch):
-        monkeypatch.delenv("GAIDS_PURE_PYTHON", raising=False)
-        assert kernels._resolve().BACKEND == "compiled"
-
-    def test_env_var_forces_python(self, monkeypatch):
-        monkeypatch.setenv("GAIDS_PURE_PYTHON", "1")
-        assert kernels._resolve().BACKEND == "python"
-
-    def test_force_flag(self):
-        assert kernels._resolve(force_python=True).BACKEND == "python"
-
-    def test_module_exports_match_impl(self):
-        impl = importlib.import_module(f"gaids._kernels{'' if kernels.BACKEND == 'compiled' else '_py'}")
-        assert kernels.distance is impl.distance
-        assert kernels.batch_fitness is impl.batch_fitness
+@pytest.mark.parametrize(
+    "population, chromosomes, features",
+    [(1, 1, 38), (6, 1, 38), (16, 40, 38), (9, 7, 3)],
+)
+def test_batch_fitness_matches_bruteforce(rng, population, chromosomes, features):
+    model = random_model(rng, chromosomes, num_features=features)
+    flat = model.flatten()
+    genes = rng.random((population, features))
+    genes[0] = flat.centroids[-1]  # exact centroid hit
+    values, idx = kernels.batch_fitness(
+        genes, flat.centroids, flat.spreads, SPREAD_EPSILON
+    )
+    assert values[0] == 0.0
+    for g, value, k in zip(genes, values, idx):
+        expected_value, expected_label = bruteforce_fitness(g, model)
+        assert value == pytest.approx(expected_value, rel=1e-12, abs=1e-15)
+        assert flat.labels[k] == expected_label

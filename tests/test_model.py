@@ -12,10 +12,8 @@ from gaids.errors import (
 )
 from gaids.ingest import NUM_FEATURES, NormalizationStats
 from gaids.model import (
-    Chromosome,
     distance,
     load_model,
-    merge_record,
     nearest_chromosome,
     precalculate,
     save_model,
@@ -60,48 +58,46 @@ class TestDistance:
             distance(np.zeros(5), np.zeros(6))
 
 
+def merge_all(points, label="normal"):
+    """The single chromosome precalculate builds from `points`, with a merge
+    range spanning the whole unit cube so that every record merges."""
+    m = precalculate([record(x, label) for x in points], 1.0, NormalizationStats.identity())
+    [chrom] = m.groups[0].chromosomes
+    return chrom
+
+
 class TestMergeRecord:
     def test_merge_identical_point(self, rng):
         x = rng.random(NUM_FEATURES)
-        c = Chromosome(centroid=x.copy(), group_label="normal")
-        merge_record(c, x)
+        c = merge_all([x, x])
         assert np.array_equal(c.centroid, x)
         assert c.member_count == 2
         assert c.spread == 0.0
 
     def test_two_point_midpoint(self):
-        c = Chromosome(centroid=np.zeros(NUM_FEATURES), group_label="normal")
         x = np.zeros(NUM_FEATURES)
         x[0] = 1.0
-        merge_record(c, x)
+        c = merge_all([np.zeros(NUM_FEATURES), x])
         assert c.centroid[0] == 0.5
         assert np.all(c.centroid[1:] == 0.0)
         assert c.member_count == 2
 
     def test_centroid_equals_batch_mean(self, rng):
         points = rng.random((20, NUM_FEATURES))
-        c = Chromosome(centroid=points[0].copy(), group_label="normal")
-        for x in points[1:]:
-            merge_record(c, x)
+        c = merge_all(points)
         assert c.member_count == 20
         np.testing.assert_allclose(c.centroid, points.mean(axis=0), atol=1e-9)
 
     def test_spread_equals_recomputed_std(self, rng):
-        # Oracle: replay the stream of pre-merge centroid distances and take
-        # its population standard deviation in one batch.
+        # Oracle: the stream of distances from each record to the mean of the
+        # records before it (the seed contributes 0), as one batch std.
         points = rng.random((50, NUM_FEATURES))
-        c = Chromosome(centroid=points[0].copy(), group_label="normal")
-        stream = [0.0]
-        for x in points[1:]:
-            stream.append(distance(x, c.centroid))
-            merge_record(c, x)
+        c = merge_all(points)
+        stream = [0.0] + [
+            distance(points[i], points[:i].mean(axis=0)) for i in range(1, len(points))
+        ]
         assert c.spread == pytest.approx(float(np.std(stream)), abs=1e-12)
         assert c.spread >= 0.0
-
-    def test_dimension_mismatch(self):
-        c = Chromosome(centroid=np.zeros(NUM_FEATURES), group_label="normal")
-        with pytest.raises(DimensionMismatch):
-            merge_record(c, np.zeros(5))
 
 
 class TestPrecalculate:
