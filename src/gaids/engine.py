@@ -25,10 +25,6 @@ from .errors import UnsetFitness
 from .ingest import ConnectionRecord
 from .model import ChromosomeModel
 
-# Added to every chromosome spread so single-member (spread 0) chromosomes
-# still yield a finite score.
-SPREAD_EPSILON = 1e-6
-
 _MAX_SEED = 2**64
 
 
@@ -111,7 +107,7 @@ def evaluate_population(population: list[Candidate], model: ChromosomeModel) -> 
     """Score every candidate in one kernel pass."""
     flat = model.flatten()
     genes = np.ascontiguousarray(np.stack([c.genes for c in population]))
-    fit, idx = kernels.batch_fitness(genes, flat.centroids, flat.spreads, SPREAD_EPSILON)
+    fit, idx = kernels.batch_fitness(genes, flat.centroids, flat.sq_norms, flat.denoms)
     for i, c in enumerate(population):
         c.fitness = float(fit[i])
         c.nearest_label = flat.labels[idx[i]]
@@ -184,9 +180,6 @@ def detect(
     """Classify one record by shrinking a mutated population to a survivor."""
     if rng is None:
         rng = make_rng(params.seed)
-    flat = model.flatten()
-    category_of = dict(zip(flat.labels, flat.categories))
-
     x = model.normalization.transform(record.features)
     population = initialize_population(x, params, rng)
     generations = 0
@@ -202,7 +195,7 @@ def detect(
     best = min(population, key=lambda c: c.fitness)
     return Prediction(
         attack_name=best.nearest_label,
-        category=category_of[best.nearest_label],
+        category=model.flatten().category_of[best.nearest_label],
         survivor_fitness=best.fitness,
         generations_run=generations,
     )

@@ -28,6 +28,10 @@ from .ingest import CATEGORIES, ConnectionRecord, NormalizationStats
 MODEL_FORMAT_TAG = "gaids-model"
 MODEL_FORMAT_VERSION = "1"
 
+# Added to every chromosome spread so single-member (spread 0) chromosomes
+# still yield a finite score.
+SPREAD_EPSILON = 1e-6
+
 
 def distance(a: np.ndarray, b: np.ndarray) -> float:
     """Dimension-normalized Euclidean distance, in [0,1] for unit-cube inputs."""
@@ -59,12 +63,14 @@ class ChromosomeGroup:
 
 @dataclass
 class _FlatModel:
-    """Scan-ready view: chromosomes ordered by (label, insertion order)."""
+    """Scan-ready view: chromosomes ordered by (label, insertion order),
+    with the per-chromosome terms of the fitness kernel computed once."""
 
     centroids: np.ndarray
-    spreads: np.ndarray
+    sq_norms: np.ndarray  # (centroids**2).sum(axis=1)
+    denoms: np.ndarray  # spread + SPREAD_EPSILON
     labels: list[str]
-    categories: list[str]
+    category_of: dict[str, str]
     chromosomes: list[Chromosome]
 
 
@@ -87,19 +93,25 @@ class ChromosomeModel:
         if self._flat is None:
             chroms: list[Chromosome] = []
             labels: list[str] = []
-            categories: list[str] = []
-            for group in sorted(self.groups, key=lambda g: g.label):
+            groups = sorted(self.groups, key=lambda g: g.label)
+            for group in groups:
                 for c in group.chromosomes:
                     chroms.append(c)
                     labels.append(group.label)
-                    categories.append(group.category)
             if not chroms:
                 raise EmptyModel("model holds no chromosomes")
             centroids = np.ascontiguousarray(
                 np.stack([c.centroid for c in chroms]), dtype=np.float64
             )
             spreads = np.array([c.spread for c in chroms], dtype=np.float64)
-            self._flat = _FlatModel(centroids, spreads, labels, categories, chroms)
+            self._flat = _FlatModel(
+                centroids=centroids,
+                sq_norms=(centroids * centroids).sum(axis=1),
+                denoms=spreads + SPREAD_EPSILON,
+                labels=labels,
+                category_of={g.label: g.category for g in groups},
+                chromosomes=chroms,
+            )
         return self._flat
 
     def __getstate__(self):
@@ -251,8 +263,10 @@ def save_model(model: ChromosomeModel, path) -> None:
 
 def load_model(path) -> ChromosomeModel:
     """Read a model file; rejects unknown format tags/versions and rows a
-    trained model cannot hold (unknown category, member count below 1,
-    negative or non-finite spread, non-finite value, non-ASCII bytes)."""
+    trained model cannot hold (unknown category, one label under two
+    categories, member count below 1, negative or non-finite spread,
+    non-finite value, centroid value outside [0,1], a feature minimum above
+    its maximum, non-ASCII bytes)."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -274,26 +288,41 @@ def load_model(path) -> ChromosomeModel:
     if len(lines) < 3:
         raise ModelFormatError("missing normalization rows")
 
-    def parse_row(tokens, expected):
-        if len(tokens) != expected:
+    def parse_values(tokens):
+        if len(tokens) != num_features:
             raise ModelFormatError(
-                f"expected {expected} values per row, got {len(tokens)}"
+                f"expected {num_features} values per row, got {len(tokens)}"
             )
         try:
-            row = np.array([float(t) for t in tokens], dtype=np.float64)
+            return [float(t) for t in tokens]
         except ValueError as exc:
             raise ModelFormatError(f"bad value: {exc}") from None
-        if not np.isfinite(row).all():
+
+    def check_values(values, low=-math.inf, high=math.inf):
+        if not np.isfinite(values).all():
             raise ModelFormatError("non-finite value in a model row")
-        return row
+        if (values < low).any() or (values > high).any():
+            raise ModelFormatError(f"model row value outside [{low:g},{high:g}]")
+        return values
 
-    feat_min = parse_row(lines[-2].split(), num_features)
-    feat_max = parse_row(lines[-1].split(), num_features)
+    feat_min, feat_max = check_values(
+        np.array([parse_values(lines[-2].split()), parse_values(lines[-1].split())])
+    )
+    inverted = np.flatnonzero(feat_min > feat_max)
+    if inverted.size:
+        raise ModelFormatError(
+            f"feature minimum exceeds maximum in column {int(inverted[0])}"
+        )
 
+    # Centroid values go into one matrix, checked in one pass after the
+    # loop; rows are still split one at a time, because holding every token
+    # of a large model at once costs more memory than the model itself.
+    body = lines[1:-2]
+    centroids = np.empty((len(body), num_features), dtype=np.float64)
     groups: dict[str, ChromosomeGroup] = {}
     order: list[str] = []
     member_total = 0
-    for ln in lines[1:-2]:
+    for row, ln in enumerate(body):
         tokens = ln.split()
         if len(tokens) != 4 + num_features:
             raise ModelFormatError(
@@ -311,17 +340,23 @@ def load_model(path) -> ChromosomeModel:
             raise ModelFormatError(f"member count {count} is below 1")
         if not 0.0 <= spread < math.inf:
             raise ModelFormatError(f"spread {spread!r} is not a finite non-negative number")
-        centroid = parse_row(tokens[4:], num_features)
-        chrom = Chromosome(
-            centroid=centroid, member_count=count, spread=spread, group_label=label
-        )
-        member_total += count
         group = groups.get(label)
         if group is None:
             group = ChromosomeGroup(label=label, category=category, chromosomes=[])
             groups[label] = group
             order.append(label)
-        group.chromosomes.append(chrom)
+        elif group.category != category:
+            raise ModelFormatError(
+                f"label {label!r} is listed under {group.category!r} and {category!r}"
+            )
+        centroids[row] = parse_values(tokens[4:])
+        group.chromosomes.append(
+            Chromosome(
+                centroid=centroids[row], member_count=count, spread=spread, group_label=label
+            )
+        )
+        member_total += count
+    check_values(centroids, 0.0, 1.0)
 
     if member_total != training_size:
         raise ModelFormatError(

@@ -275,6 +275,10 @@ class TestEvaluateCommand:
             (-2, 0, b"-inf", "non-finite"),
             (-1, 5, b"nan", "non-finite"),
             (1, 0, b"n\xffrmal", "ASCII"),
+            (-2, 0, b"0.9", "minimum exceeds maximum"),
+            (2, 0, b"normal", "listed under"),
+            (1, 4, b"1.5", "[0,1]"),
+            (3, 7, b"-0.25", "[0,1]"),
         ],
     )
     def test_corrupt_model_exit_model(self, workspace, capsys, row, col, value, message):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gaids.engine import (
-    SPREAD_EPSILON,
     Candidate,
     GaParams,
     crossover,
@@ -20,6 +19,7 @@ from gaids.engine import (
 )
 from gaids.errors import EmptyModel, UnsetFitness
 from gaids.ingest import NUM_FEATURES
+from gaids.model import SPREAD_EPSILON
 
 from conftest import build_model, random_model, record
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gaids.errors import (
 )
 from gaids.ingest import NUM_FEATURES, NormalizationStats
 from gaids.model import (
+    SPREAD_EPSILON,
     distance,
     load_model,
     nearest_chromosome,
@@ -229,6 +231,29 @@ class TestNearestChromosome:
         m = random_model(rng, 3)
         with pytest.raises(DimensionMismatch):
             nearest_chromosome(np.zeros(7), m)
+
+
+class TestFlatten:
+    def test_cached_kernel_terms(self, rng):
+        m = random_model(rng, 12)
+        flat = m.flatten()
+        assert m.flatten() is flat
+        spreads = np.array([c.spread for c in flat.chromosomes])
+        assert np.array_equal(flat.sq_norms, (flat.centroids**2).sum(axis=1))
+        assert np.array_equal(flat.denoms, spreads + SPREAD_EPSILON)
+        assert flat.category_of == {g.label: g.category for g in m.groups}
+
+    def test_pickle_drops_cache(self, rng):
+        # Pool workers receive the model pickled and rebuild the view.
+        m = random_model(rng, 12)
+        flat = m.flatten()
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy._flat is None
+        rebuilt = copy.flatten()
+        assert rebuilt.labels == flat.labels
+        assert rebuilt.category_of == flat.category_of
+        for name in ("centroids", "sq_norms", "denoms"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(flat, name))
 
 
 class TestPersistence:
