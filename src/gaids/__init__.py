@@ -6,7 +6,7 @@ test record is classified by a small genetic search whose surviving
 candidate's nearest chromosome group gives the prediction.
 """
 
-from .engine import Candidate, GaParams, Prediction, detect, run_batch
+from .engine import GaParams, Prediction, detect, run_batch
 from .errors import GaidsError
 from .ingest import (
     ATTACK_CATEGORIES,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ATTACK_CATEGORIES",
     "BinaryCounts",
-    "Candidate",
     "CATEGORIES",
     "Chromosome",
     "ChromosomeGroup",

@@ -135,6 +135,12 @@ def _ga_params(values: dict) -> engine.GaParams:
         raise ConfigError(str(exc)) from None
 
 
+def _workers(values: dict) -> int:
+    if values["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {values['workers']}")
+    return values["workers"]
+
+
 def _require_file(path, what: str) -> str:
     if not path:
         raise ConfigError(f"missing required {what}")
@@ -172,12 +178,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_detect(args: argparse.Namespace) -> int:
     values = _merged(args)
     params = _ga_params(values)
+    workers = _workers(values)
     trained = model.load_model(_require_file(values["model"], "--model"))
     path = _require_file(values["test_file"], "--test-file")
     records, skipped = ingest.load_file(
         path, strict=values["strict"], require_label=False
     )
-    predictions = engine.run_batch(records, trained, params, workers=values["workers"])
+    predictions = engine.run_batch(records, trained, params, workers=workers)
     for i, p in enumerate(predictions):
         print(f"{i},{p.attack_name},{p.category},{p.survivor_fitness!r},{p.generations_run}")
     if skipped:
@@ -188,10 +195,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     values = _merged(args)
     params = _ga_params(values)
+    workers = _workers(values)
     trained = model.load_model(_require_file(values["model"], "--model"))
     path = _require_file(values["test_file"], "--test-file")
     records, skipped = ingest.load_file(path, strict=values["strict"])
-    predictions = engine.run_batch(records, trained, params, workers=values["workers"])
+    predictions = engine.run_batch(records, trained, params, workers=workers)
     matrix = metrics.ConfusionMatrix.from_pairs(
         (rec.category, pred.category) for rec, pred in zip(records, predictions)
     )

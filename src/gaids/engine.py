@@ -1,15 +1,23 @@
 """Per-record genetic search over the chromosome model.
 
-Each test record spawns a population of mutated copies of itself. Every
-generation the whole population is scored against the model (spread-
+Each test record spawns a population of mutated copies of itself, held as
+one (P, n) float64 gene array, one row per candidate. Every generation the
+whole array is scored against the model in one kernel call (spread-
 normalized distance to the nearest chromosome, lower is better), the worst
-quarter is dropped, adjacent pairs cross over, and single genes mutate.
-The loop stops when one candidate survives (or the generation cap hits);
-the survivor's nearest chromosome group is the prediction.
+quarter of the rows is dropped, adjacent row pairs cross over, and single
+genes mutate. The loop stops when one row survives (or the generation cap
+hits); the survivor's nearest chromosome group is the prediction.
 
 All randomness flows through numpy's PCG64. A batch run derives one
 independent stream per record as PCG64(seed XOR record_index), so serial
-and parallel execution produce identical output.
+and parallel execution produce identical output. Within a record the draws
+come in this order (tests/test_engine.py pins it end to end):
+
+- initialize_population: for rows 1..P-1, random(n) then normal(0, sigma, n);
+- select: no draws;
+- crossover: for each adjacent pair, random(), then integers(1, n) on a hit;
+- mutate: for each row, random(), then integers(0, n) and normal(0, sigma)
+  on a hit.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import UnsetFitness
 from .ingest import ConnectionRecord
 from .model import ChromosomeModel
 
@@ -61,15 +68,6 @@ class GaParams:
 
 
 @dataclass
-class Candidate:
-    """One member of the search population."""
-
-    genes: np.ndarray
-    fitness: float | None = None
-    nearest_label: str | None = None
-
-
-@dataclass
 class Prediction:
     """detect() output for one record."""
 
@@ -90,85 +88,50 @@ def record_rng(seed: int, index: int) -> np.random.Generator:
 
 def initialize_population(
     x: np.ndarray, params: GaParams, rng: np.random.Generator
-) -> list[Candidate]:
-    """Candidate 0 is the record itself; the rest are noisy copies where each
-    gene mutates independently with probability mutation_rate."""
-    population = [Candidate(genes=x.copy())]
+) -> np.ndarray:
+    """(population_size, n) genes. Row 0 is the record itself; every later
+    row is a noisy copy where each gene mutates independently with
+    probability mutation_rate."""
     n = x.shape[0]
-    for _ in range(params.population_size - 1):
-        mask = rng.random(n) < params.mutation_rate
-        noise = rng.normal(0.0, params.mutation_sigma, n)
-        genes = np.where(mask, np.clip(x + noise, 0.0, 1.0), x)
-        population.append(Candidate(genes=genes))
-    return population
+    size = params.population_size
+    mask = np.zeros((size, n), dtype=bool)
+    noise = np.zeros((size, n))
+    for i in range(1, size):
+        mask[i] = rng.random(n) < params.mutation_rate
+        noise[i] = rng.normal(0.0, params.mutation_sigma, n)
+    return np.where(mask, np.clip(x + noise, 0.0, 1.0), x)
 
 
-def evaluate_population(population: list[Candidate], model: ChromosomeModel) -> None:
-    """Score every candidate in one kernel pass."""
-    flat = model.flatten()
-    genes = np.ascontiguousarray(np.stack([c.genes for c in population]))
-    fit, idx = kernels.batch_fitness(genes, flat.centroids, flat.sq_norms, flat.denoms)
-    for i, c in enumerate(population):
-        c.fitness = float(fit[i])
-        c.nearest_label = flat.labels[idx[i]]
-
-
-def fitness(candidate: Candidate, model: ChromosomeModel) -> tuple[float, str]:
-    """Spread-normalized distance to the nearest chromosome and its label.
-
-    score = min over chromosomes of distance/(spread + epsilon); ties resolve
-    by group label, then insertion order. Also stored on the candidate.
-    """
-    evaluate_population([candidate], model)
-    return candidate.fitness, candidate.nearest_label
-
-
-def select(population: list[Candidate], removal_fraction: float) -> list[Candidate]:
-    """Drop the worst floor(removal_fraction * size) candidates, at least one
-    per call, never below one survivor. Sort is ascending by fitness, stable
-    by index."""
-    if any(c.fitness is None for c in population):
-        raise UnsetFitness("select requires evaluated candidates")
-    size = len(population)
-    if size <= 1:
-        return list(population)
+def select(genes: np.ndarray, fitness: np.ndarray, removal_fraction: float) -> np.ndarray:
+    """Drop the worst floor(removal_fraction * size) rows, at least one per
+    call, never below one survivor. Rows are ranked ascending by fitness,
+    stable by index; the survivors are a new array."""
+    size = genes.shape[0]
     drop = min(size - 1, max(1, math.floor(removal_fraction * size)))
-    ranked = sorted(population, key=lambda c: c.fitness)
-    return ranked[: size - drop]
+    return genes[np.argsort(fitness, kind="stable")[: size - drop]]
 
 
-def crossover(
-    population: list[Candidate], rate: float, rng: np.random.Generator
-) -> list[Candidate]:
-    """Single-point suffix swap on adjacent pairs (0,1),(2,3),... each with
-    probability rate; the cut point is uniform in [1, n-1]. In place."""
-    for i in range(0, len(population) - 1, 2):
+def crossover(genes: np.ndarray, rate: float, rng: np.random.Generator) -> None:
+    """Single-point suffix swap on adjacent row pairs (0,1),(2,3),... each
+    with probability rate; the cut point is uniform in [1, n-1]. In place."""
+    n = genes.shape[1]
+    for i in range(0, genes.shape[0] - 1, 2):
         if rng.random() < rate:
-            a, b = population[i], population[i + 1]
-            cut = int(rng.integers(1, a.genes.shape[0]))
-            tail = a.genes[cut:].copy()
-            a.genes[cut:] = b.genes[cut:]
-            b.genes[cut:] = tail
-            a.fitness = a.nearest_label = None
-            b.fitness = b.nearest_label = None
-    return population
+            cut = int(rng.integers(1, n))
+            tail = genes[i, cut:].copy()
+            genes[i, cut:] = genes[i + 1, cut:]
+            genes[i + 1, cut:] = tail
 
 
-def mutate(
-    population: list[Candidate],
-    rate: float,
-    sigma: float,
-    rng: np.random.Generator,
-) -> list[Candidate]:
-    """Each candidate, with probability rate, gets one uniformly chosen gene
+def mutate(genes: np.ndarray, rate: float, sigma: float, rng: np.random.Generator) -> None:
+    """Each row, with probability rate, gets one uniformly chosen gene
     perturbed by Gaussian noise and clamped to [0,1]. In place."""
-    for c in population:
+    n = genes.shape[1]
+    for row in genes:
         if rng.random() < rate:
-            idx = int(rng.integers(0, c.genes.shape[0]))
+            idx = int(rng.integers(0, n))
             delta = rng.normal(0.0, sigma)
-            c.genes[idx] = min(1.0, max(0.0, c.genes[idx] + delta))
-            c.fitness = c.nearest_label = None
-    return population
+            row[idx] = min(1.0, max(0.0, row[idx] + delta))
 
 
 def detect(
@@ -181,22 +144,24 @@ def detect(
     if rng is None:
         rng = make_rng(params.seed)
     x = model.normalization.transform(record.features)
-    population = initialize_population(x, params, rng)
+    genes = initialize_population(x, params, rng)
+    flat = model.flatten()
     generations = 0
     while True:
-        evaluate_population(population, model)
+        fitness, nearest = kernels.batch_fitness(genes, flat.centroids, flat.sq_norms, flat.denoms)
         generations += 1
-        if len(population) == 1 or generations >= params.max_generations:
+        if genes.shape[0] == 1 or generations >= params.max_generations:
             break
-        population = select(population, params.removal_fraction)
-        crossover(population, params.crossover_rate, rng)
-        mutate(population, params.mutation_rate, params.mutation_sigma, rng)
+        genes = select(genes, fitness, params.removal_fraction)
+        crossover(genes, params.crossover_rate, rng)
+        mutate(genes, params.mutation_rate, params.mutation_sigma, rng)
 
-    best = min(population, key=lambda c: c.fitness)
+    best = int(np.argmin(fitness))
+    label = flat.labels[nearest[best]]
     return Prediction(
-        attack_name=best.nearest_label,
-        category=model.flatten().category_of[best.nearest_label],
-        survivor_fitness=best.fitness,
+        attack_name=label,
+        category=flat.category_of[label],
+        survivor_fitness=float(fitness[best]),
         generations_run=generations,
     )
 
@@ -212,13 +177,17 @@ def _init_worker(model: ChromosomeModel, params: GaParams, records: list[Connect
     _WORKER["records"] = records
 
 
-def _run_range(bounds: tuple[int, int]) -> list[Prediction]:
-    start, end = bounds
-    model, params, records = _WORKER["model"], _WORKER["params"], _WORKER["records"]
+def _detect_range(
+    records: list[ConnectionRecord], model: ChromosomeModel, params: GaParams, start: int, end: int
+) -> list[Prediction]:
     return [
         detect(records[i], model, params, record_rng(params.seed, i))
         for i in range(start, end)
     ]
+
+
+def _run_range(bounds: tuple[int, int]) -> list[Prediction]:
+    return _detect_range(_WORKER["records"], _WORKER["model"], _WORKER["params"], *bounds)
 
 
 def run_batch(
@@ -232,10 +201,7 @@ def run_batch(
     if not records:
         return []
     if workers <= 1:
-        return [
-            detect(records[i], model, params, record_rng(params.seed, i))
-            for i in range(len(records))
-        ]
+        return _detect_range(records, model, params, 0, len(records))
     model.flatten()
     chunk = max(1, math.ceil(len(records) / (workers * 4)))
     bounds = [
@@ -243,7 +209,9 @@ def run_batch(
         for start in range(0, len(records), chunk)
     ]
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(model, params, records)
+        max_workers=min(workers, len(bounds)),
+        initializer=_init_worker,
+        initargs=(model, params, records),
     ) as pool:
         results: list[Prediction] = []
         for part in pool.map(_run_range, bounds):

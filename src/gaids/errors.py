@@ -29,10 +29,6 @@ class EmptyModel(GaidsError):
     """A model without chromosomes cannot answer nearest/fitness queries."""
 
 
-class UnsetFitness(GaidsError):
-    """Selection was asked to rank candidates whose fitness was never evaluated."""
-
-
 class ModelFormatError(GaidsError):
     """A model file is structurally invalid."""
 

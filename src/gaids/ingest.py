@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,7 +180,7 @@ def to_connection_record(
     """Drop the symbolic fields, parse the 38 numeric ones, map the label.
 
     In lenient mode an attack name missing from the mapping is assigned
-    fallback_category and logged instead of raising UnknownLabel.
+    fallback_category instead of raising UnknownLabel.
     """
     if len(raw.fields) != NUM_RAW_FEATURES:
         raise MalformedRecord(
@@ -205,7 +206,6 @@ def to_connection_record(
     if category is None:
         if strict:
             raise UnknownLabel(raw.label)
-        log.warning("unknown attack name %r, assigning category %r", raw.label, fallback_category)
         category = fallback_category
     return ConnectionRecord(features=values, attack_name=raw.label, category=category)
 
@@ -220,11 +220,13 @@ def read_records(
     """Parse an iterable of lines into records.
 
     Strict mode aborts on the first bad line (error message carries
-    file:line context); lenient mode skips bad lines and counts them.
+    file:line context); lenient mode skips bad lines and counts them, and
+    logs one warning per unknown attack name with its line count.
     Returns (records, skipped_count). Blank lines are ignored.
     """
     records: list[ConnectionRecord] = []
     skipped = 0
+    unknown: Counter[str] = Counter()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -236,7 +238,14 @@ def read_records(
                 raise type(exc)(f"{source}:{lineno}: {exc}") from exc
             skipped += 1
             continue
+        if rec.attack_name is not None and rec.attack_name not in ATTACK_CATEGORIES:
+            unknown[rec.attack_name] += 1
         records.append(rec)
+    for name, count in unknown.items():
+        log.warning(
+            "%s: unknown attack name %r on %d line(s), assigned category %r",
+            source, name, count, fallback_category,
+        )
     return records, skipped
 
 

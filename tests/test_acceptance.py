@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from gaids import engine, ingest, metrics, model, synth
+from gaids import ingest, metrics, model, synth
 from gaids.engine import GaParams, detect, run_batch, select
 from gaids.ingest import NUM_FEATURES, NormalizationStats, fit_normalization, read_records, summarize
 from gaids.metrics import BinaryCounts, ConfusionMatrix, detection_rate, false_positive_rate, per_class_rates
@@ -173,13 +173,12 @@ def test_criterion_7_determinism_and_parallel_equivalence(tmp_path):
 
 
 def test_criterion_8_shrink_schedule():
-    pop = [
-        engine.Candidate(genes=np.zeros(NUM_FEATURES), fitness=float(i), nearest_label="normal")
-        for i in range(32)
-    ]
+    fitness = np.arange(32.0)
+    # Each row carries its own fitness in every gene, so survivors keep theirs.
+    pop = np.repeat(fitness[:, None], NUM_FEATURES, axis=1)
     sizes = [len(pop)]
     while len(pop) > 1:
-        pop = select(pop, 0.25)
+        pop = select(pop, pop[:, 0], 0.25)
         sizes.append(len(pop))
     expected = [32, 24, 18, 14, 11, 9, 7, 6, 5, 4, 3, 2, 1]
     ok = sizes == expected and len(sizes) == 13

@@ -344,3 +344,18 @@ class TestConfigFile:
             "--removal-fraction", "1.5",
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["detect", "evaluate"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_config(self, workspace, capsys, command, workers):
+        tmp, train, test = workspace
+        model_path = tmp / "m.model"
+        code, _, _ = run_cli(capsys, "train", "--train-file", str(train), "--model", str(model_path))
+        assert code == EXIT_OK
+        code, out, err = run_cli(
+            capsys, command, "--model", str(model_path), "--test-file", str(test),
+            "--workers", workers,
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "workers must be >= 1" in err

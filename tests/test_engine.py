@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gaids import engine, kernels
 from gaids.engine import (
-    Candidate,
     GaParams,
     crossover,
     detect,
-    evaluate_population,
-    fitness,
     initialize_population,
     make_rng,
     mutate,
@@ -17,7 +17,7 @@ from gaids.engine import (
     run_batch,
     select,
 )
-from gaids.errors import EmptyModel, UnsetFitness
+from gaids.errors import EmptyModel
 from gaids.ingest import NUM_FEATURES
 from gaids.model import SPREAD_EPSILON
 
@@ -65,45 +65,55 @@ class TestGaParams:
             GaParams(**kwargs)
 
 
+def in_unit_cube(genes):
+    return bool(np.all(genes >= 0.0) and np.all(genes <= 1.0))
+
+
 class TestInitializePopulation:
     def test_size_one_is_exact_copy(self, rng):
         x = rng.random(NUM_FEATURES)
         pop = initialize_population(x, GaParams(population_size=1), rng)
-        assert len(pop) == 1
-        assert np.array_equal(pop[0].genes, x)
+        assert pop.shape == (1, NUM_FEATURES)
+        assert np.array_equal(pop[0], x)
 
     def test_zero_sigma_copies_exactly(self, rng):
         x = rng.random(NUM_FEATURES)
         pop = initialize_population(x, GaParams(mutation_sigma=0.0), rng)
-        assert len(pop) == 32
-        for c in pop:
-            assert np.array_equal(c.genes, x)
+        assert pop.shape == (32, NUM_FEATURES)
+        for row in pop:
+            assert np.array_equal(row, x)
 
     def test_candidate_zero_untouched(self, rng):
         x = rng.random(NUM_FEATURES)
         pop = initialize_population(x, GaParams(), rng)
-        assert np.array_equal(pop[0].genes, x)
+        assert np.array_equal(pop[0], x)
 
     def test_seeded_runs_identical(self):
         x = np.linspace(0, 1, NUM_FEATURES)
         p = GaParams()
         pop1 = initialize_population(x, p, make_rng(99))
         pop2 = initialize_population(x, p, make_rng(99))
-        for a, b in zip(pop1, pop2):
-            assert np.array_equal(a.genes, b.genes)
+        assert np.array_equal(pop1, pop2)
 
     def test_genes_clamped(self, rng):
         x = np.ones(NUM_FEATURES)
         pop = initialize_population(x, GaParams(mutation_sigma=5.0, mutation_rate=1.0), rng)
-        for c in pop:
-            assert np.all(c.genes >= 0.0) and np.all(c.genes <= 1.0)
+        assert in_unit_cube(pop)
+
+
+def score(genes, model):
+    """Fitness and nearest label of one gene vector: a one-member,
+    one-generation search on an identity-normalized model."""
+    pred = detect(record(genes), model, GaParams(**DEGENERATE))
+    assert pred.generations_run == 1
+    return pred.survivor_fitness, pred.attack_name
 
 
 class TestFitness:
     def test_exact_centroid_scores_zero(self, rng):
         m = random_model(rng, 10)
         chrom = m.groups[2].chromosomes[0]
-        value, label = fitness(Candidate(genes=chrom.centroid.copy()), m)
+        value, label = score(chrom.centroid.copy(), m)
         assert value == 0.0
         assert label == m.groups[2].label
 
@@ -111,20 +121,21 @@ class TestFitness:
         centroid = np.full(NUM_FEATURES, 0.5)
         m = build_model([centroid], ["normal"], spreads=[0.0])
         x = rng.random(NUM_FEATURES)
-        value, _ = fitness(Candidate(genes=x), m)
+        value, _ = score(x, m)
         d = math.sqrt(float(((x - centroid) ** 2).sum()) / NUM_FEATURES)
         assert value == pytest.approx(d / SPREAD_EPSILON, rel=1e-12)
 
     def test_matches_bruteforce_scan(self, rng):
         m = random_model(rng, 10)
+        categories = {g.label: g.category for g in m.groups}
         for _ in range(50):
-            c = Candidate(genes=rng.random(NUM_FEATURES))
-            value, label = fitness(c, m)
-            expected_z, expected_label = bruteforce_fitness(c.genes, m)
-            assert label == expected_label
-            assert value == pytest.approx(expected_z, abs=1e-12)
-            assert c.fitness == value
-            assert c.nearest_label == label
+            genes = rng.random(NUM_FEATURES)
+            pred = detect(record(genes), m, GaParams(**DEGENERATE))
+            expected_z, expected_label = bruteforce_fitness(genes, m)
+            assert pred.attack_name == expected_label
+            assert pred.survivor_fitness == pytest.approx(expected_z, abs=1e-12)
+            assert pred.category == categories[pred.attack_name]
+            assert pred.generations_run == 1
 
     def test_monotone_in_distance(self, rng):
         # g2 sits farther from every centroid than g1 (componentwise above
@@ -134,81 +145,77 @@ class TestFitness:
         for _ in range(25):
             g1 = 0.4 + rng.random(NUM_FEATURES) * 0.2
             g2 = g1 + 0.2
-            f1, _ = fitness(Candidate(genes=g1), m)
-            f2, _ = fitness(Candidate(genes=g2), m)
+            f1, _ = score(g1, m)
+            f2, _ = score(g2, m)
             assert f2 >= f1
 
     def test_empty_model(self):
         m = build_model(np.zeros((1, NUM_FEATURES)), ["normal"])
         m.groups[0].chromosomes.clear()
         with pytest.raises(EmptyModel):
-            fitness(Candidate(genes=np.zeros(NUM_FEATURES)), m)
+            score(np.zeros(NUM_FEATURES), m)
 
 
 class TestSelect:
     def make_pop(self, fitnesses):
-        return [
-            Candidate(genes=np.zeros(NUM_FEATURES), fitness=f, nearest_label="normal")
-            for f in fitnesses
-        ]
+        """Rows whose first gene is their own fitness, the rest their index."""
+        fitnesses = np.asarray(fitnesses, dtype=np.float64)
+        genes = np.repeat(np.arange(len(fitnesses), dtype=np.float64)[:, None], NUM_FEATURES, 1)
+        genes[:, 0] = fitnesses
+        return genes
 
     def test_single_survivor_unchanged(self):
         pop = self.make_pop([3.0])
-        assert len(select(pop, 0.25)) == 1
+        assert len(select(pop, pop[:, 0], 0.25)) == 1
 
     def test_four_drop_worst(self):
         pop = self.make_pop([0.4, 0.1, 0.9, 0.2])
-        survivors = select(pop, 0.25)
+        survivors = select(pop, pop[:, 0], 0.25)
         assert len(survivors) == 3
-        assert [c.fitness for c in survivors] == [0.1, 0.2, 0.4]
+        assert survivors[:, 0].tolist() == [0.1, 0.2, 0.4]
 
     def test_shrink_schedule_from_32(self):
         # Arithmetic trace with 25% removal: 13 population sizes seen in all.
         pop = self.make_pop(range(32))
         sizes = [len(pop)]
         while len(pop) > 1:
-            pop = select(pop, 0.25)
+            pop = select(pop, pop[:, 0], 0.25)
             sizes.append(len(pop))
         assert sizes == [32, 24, 18, 14, 11, 9, 7, 6, 5, 4, 3, 2, 1]
         assert len(sizes) == 13
 
     def test_strict_shrink_above_one(self):
         for size in range(2, 40):
-            survivors = select(self.make_pop(range(size)), 0.01)
+            pop = self.make_pop(range(size))
+            survivors = select(pop, pop[:, 0], 0.01)
             assert len(survivors) == size - 1
 
     def test_ties_stable_by_index(self):
         pop = self.make_pop([1.0, 1.0, 1.0, 2.0])
-        survivors = select(pop, 0.5)
-        assert survivors == pop[:2]
-
-    def test_unset_fitness_rejected(self):
-        pop = [Candidate(genes=np.zeros(NUM_FEATURES))] * 2
-        with pytest.raises(UnsetFitness):
-            select(pop, 0.25)
+        survivors = select(pop, pop[:, 0], 0.5)
+        assert np.array_equal(survivors, pop[:2])
 
 
 class TestCrossover:
     def test_zero_rate_is_noop(self, rng):
-        genes = [rng.random(NUM_FEATURES) for _ in range(4)]
-        pop = [Candidate(genes=g.copy()) for g in genes]
+        genes = rng.random((4, NUM_FEATURES))
+        pop = genes.copy()
         crossover(pop, 0.0, rng)
-        for c, g in zip(pop, genes):
-            assert np.array_equal(c.genes, g)
+        assert np.array_equal(pop, genes)
 
     def test_identical_pair_unchanged(self, rng):
         g = rng.random(NUM_FEATURES)
-        pop = [Candidate(genes=g.copy()), Candidate(genes=g.copy())]
+        pop = np.stack([g, g])
         crossover(pop, 1.0, rng)
-        assert np.array_equal(pop[0].genes, g)
-        assert np.array_equal(pop[1].genes, g)
+        assert np.array_equal(pop[0], g)
+        assert np.array_equal(pop[1], g)
 
     def test_seeded_pair_matches_manual_swap(self):
         # Independent replay: consume the same draws from a fresh generator
-        # and apply the suffix swap by hand.
+        # and apply the suffix swap to the two rows by hand.
         a = np.linspace(0.0, 0.5, NUM_FEATURES)
         b = np.linspace(0.5, 1.0, NUM_FEATURES)
-        pop = [Candidate(genes=a.copy()), Candidate(genes=b.copy())]
+        pop = np.stack([a, b])
         crossover(pop, 1.0, make_rng(1234))
 
         replay = make_rng(1234)
@@ -216,48 +223,45 @@ class TestCrossover:
         cut = int(replay.integers(1, NUM_FEATURES))
         expected_a = np.concatenate([a[:cut], b[cut:]])
         expected_b = np.concatenate([b[:cut], a[cut:]])
-        assert np.array_equal(pop[0].genes, expected_a)
-        assert np.array_equal(pop[1].genes, expected_b)
-        assert pop[0].fitness is None
+        assert np.array_equal(pop[0], expected_a)
+        assert np.array_equal(pop[1], expected_b)
 
     def test_odd_last_candidate_untouched(self, rng):
         g = rng.random(NUM_FEATURES)
-        pop = [Candidate(genes=rng.random(NUM_FEATURES)) for _ in range(2)]
-        pop.append(Candidate(genes=g.copy()))
+        pop = np.vstack([rng.random((2, NUM_FEATURES)), g])
         crossover(pop, 1.0, rng)
-        assert np.array_equal(pop[2].genes, g)
+        assert np.array_equal(pop[2], g)
 
     def test_population_size_unchanged(self, rng):
-        pop = [Candidate(genes=rng.random(NUM_FEATURES)) for _ in range(7)]
-        assert len(crossover(pop, 1.0, rng)) == 7
+        pop = rng.random((7, NUM_FEATURES))
+        crossover(pop, 1.0, rng)
+        assert pop.shape == (7, NUM_FEATURES)
 
 
 class TestMutate:
     def test_zero_rate_is_noop(self, rng):
         g = rng.random(NUM_FEATURES)
-        pop = [Candidate(genes=g.copy())]
+        pop = g[None, :].copy()
         mutate(pop, 0.0, 0.05, rng)
-        assert np.array_equal(pop[0].genes, g)
+        assert np.array_equal(pop[0], g)
 
     def test_zero_sigma_is_noop(self, rng):
         g = rng.random(NUM_FEATURES)
-        pop = [Candidate(genes=g.copy())]
+        pop = g[None, :].copy()
         mutate(pop, 1.0, 0.0, rng)
-        assert np.array_equal(pop[0].genes, g)
+        assert np.array_equal(pop[0], g)
 
     def test_exactly_one_gene_changes(self, rng):
         # Genes sit mid-range and sigma is small, so clamping can never mask
-        # the perturbation; every candidate must differ in exactly one gene.
-        pop = [Candidate(genes=np.full(NUM_FEATURES, 0.5)) for _ in range(1000)]
+        # the perturbation; every row must differ in exactly one gene.
+        pop = np.full((1000, NUM_FEATURES), 0.5)
         mutate(pop, 1.0, 0.05, rng)
-        for c in pop:
-            assert int((c.genes != 0.5).sum()) == 1
+        assert np.array_equal((pop != 0.5).sum(axis=1), np.ones(1000))
 
     def test_stays_clamped(self, rng):
-        pop = [Candidate(genes=np.ones(NUM_FEATURES)) for _ in range(100)]
+        pop = np.ones((100, NUM_FEATURES))
         mutate(pop, 1.0, 10.0, rng)
-        for c in pop:
-            assert np.all(c.genes >= 0.0) and np.all(c.genes <= 1.0)
+        assert in_unit_cube(pop)
 
 
 class TestDetect:
@@ -314,25 +318,87 @@ class TestDetect:
         p2 = detect(rec, m, params)
         assert p1 == p2
 
-    def test_genes_stay_in_unit_cube_throughout(self, rng):
-        # Drive the raw generation loop with aggressive variation and check
-        # the invariant after every operator.
-        m = random_model(rng, 8)
-        params = GaParams(mutation_rate=1.0, crossover_rate=1.0, mutation_sigma=2.0)
-        x = rng.random(NUM_FEATURES)
-        pop = initialize_population(x, params, rng)
-        for _ in range(10):
-            evaluate_population(pop, m)
-            if len(pop) == 1:
-                break
-            for step in (
-                lambda p: select(p, params.removal_fraction),
-                lambda p: crossover(p, params.crossover_rate, rng),
-                lambda p: mutate(p, params.mutation_rate, params.mutation_sigma, rng),
-            ):
-                pop = step(pop)
-                for c in pop:
-                    assert np.all(c.genes >= 0.0) and np.all(c.genes <= 1.0)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        population_size=st.integers(1, 40),
+        crossover_rate=st.floats(0.0, 1.0),
+        mutation_rate=st.floats(0.0, 1.0),
+        mutation_sigma=st.floats(0.0, 5.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_genes_stay_in_unit_cube_throughout(
+        self, population_size, crossover_rate, mutation_rate, mutation_sigma, seed
+    ):
+        # Drive the raw generation loop and check the invariants after every
+        # operator: genes stay in [0,1], and select keeps the prefix of the
+        # stable ascending order by fitness. Fitness is coarsened so that
+        # ties are common and the tie rule is exercised.
+        rng = make_rng(seed)
+        flat = random_model(rng, 8).flatten()
+        params = GaParams(
+            population_size=population_size,
+            crossover_rate=crossover_rate,
+            mutation_rate=mutation_rate,
+            mutation_sigma=mutation_sigma,
+        )
+        genes = initialize_population(rng.random(NUM_FEATURES), params, rng)
+        assert genes.shape == (population_size, NUM_FEATURES)
+        assert in_unit_cube(genes)
+        while len(genes) > 1:
+            fitness, _ = kernels.batch_fitness(genes, flat.centroids, flat.sq_norms, flat.denoms)
+            fitness = np.floor(4.0 * fitness)
+            survivors = select(genes, fitness, params.removal_fraction)
+            order = sorted(range(len(genes)), key=lambda i: fitness[i])
+            assert 1 <= len(survivors) < len(genes)
+            assert np.array_equal(survivors, genes[order[: len(survivors)]])
+            assert in_unit_cube(survivors)
+            genes = survivors
+            crossover(genes, params.crossover_rate, rng)
+            assert in_unit_cube(genes)
+            mutate(genes, params.mutation_rate, params.mutation_sigma, rng)
+            assert in_unit_cube(genes)
+
+
+    # Recorded before the population became one array: any change to the
+    # order or number of generator draws in detect shows up here.
+    GOLDEN = [
+        ("multihop", "0.7593047341200073", 13),
+        ("normal", "1.1010734265198912", 13),
+        ("portsweep", "0.9140138653349962", 13),
+        ("satan", "0.30110610652283165", 13),
+        ("named", "0.35135442958149204", 13),
+        ("ftp_write", "2.0619874639888987", 13),
+        ("xnsnoop", "1.189549232079683", 13),
+        ("warezmaster", "0.28789185614174106", 13),
+        ("sendmail", "0.5571128460129613", 13),
+        ("ftp_write", "0.25158462175702484", 13),
+        ("smurf", "1.2897907886535807", 13),
+        ("worm", "0.2812521840560261", 13),
+        ("multihop", "0.696457817089326", 13),
+        ("normal", "1.0572331819346423", 13),
+        ("portsweep", "1.1455583805618952", 13),
+        ("satan", "0.3095269813539404", 13),
+        ("named", "0.42379268359375843", 13),
+        ("ftp_write", "2.093047745932754", 13),
+        ("xnsnoop", "0.9729244736891921", 13),
+        ("warezmaster", "0.3100097300305153", 13),
+    ]
+
+    def test_golden_predictions(self):
+        # Records are noisy copies of the centroids so the winners vary.
+        rng = make_rng(2468)
+        m = random_model(rng, 12)
+        centroids = [c.centroid for g in m.groups for c in g.chromosomes]
+        recs = [
+            record(np.clip(centroids[i % 12] + rng.normal(0.0, 0.05, NUM_FEATURES), 0.0, 1.0))
+            for i in range(20)
+        ]
+        params = GaParams(seed=97)
+        rows = []
+        for i, rec in enumerate(recs):
+            pred = detect(rec, m, params, record_rng(params.seed, i))
+            rows.append((pred.attack_name, repr(pred.survivor_fitness), pred.generations_run))
+        assert rows == self.GOLDEN
 
 
 class TestRunBatch:
@@ -352,6 +418,33 @@ class TestRunBatch:
         serial = run_batch(recs, m, params, workers=1)
         parallel = run_batch(recs, m, params, workers=3)
         assert serial == parallel
+
+    def test_pool_no_larger_than_chunk_count(self, rng, monkeypatch):
+        # Two records give two chunks, so eight workers must not ask for
+        # eight processes. The stub runs the chunks in this process.
+        requested = []
+
+        class StubPool:
+            def __init__(self, max_workers, initializer, initargs):
+                requested.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(engine, "_WORKER", {})
+        m = random_model(rng, 8)
+        recs = [record(rng.random(NUM_FEATURES)) for _ in range(2)]
+        params = GaParams(seed=11)
+        assert run_batch(recs, m, params, workers=8) == run_batch(recs, m, params)
+        assert requested == [2]
 
     def test_per_record_streams_are_independent_of_position(self, rng):
         # Record i always uses PCG64(seed ^ i): the same record at the same

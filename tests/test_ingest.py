@@ -122,6 +122,15 @@ class TestToConnectionRecord:
 
 
 class TestReadRecords:
+    def test_one_warning_per_unknown_name(self, caplog):
+        lines = [make_line(label="zerg_rush.")] * 3 + [make_line()]
+        with caplog.at_level("WARNING", logger="gaids.ingest"):
+            records, skipped = read_records(lines, strict=False, source="t.kdd")
+        assert (len(records), skipped) == (4, 0)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "'zerg_rush' on 3 line(s)" in warnings[0]
+
     def test_strict_aborts_with_context(self):
         lines = [make_line(), "1,2,3"]
         with pytest.raises(MalformedRecord, match="<input>:2"):
