@@ -12,13 +12,12 @@ from .ingest import (
     ATTACK_CATEGORIES,
     CATEGORIES,
     ConnectionRecord,
+    Dataset,
     DatasetSummary,
     NormalizationStats,
     fit_normalization,
-    normalize,
     parse_record,
     summarize,
-    to_connection_record,
 )
 from .metrics import (
     BinaryCounts,
@@ -33,9 +32,7 @@ from .model import (
     Chromosome,
     ChromosomeGroup,
     ChromosomeModel,
-    distance,
     load_model,
-    nearest_chromosome,
     precalculate,
     save_model,
 )
@@ -51,6 +48,7 @@ __all__ = [
     "ChromosomeModel",
     "ConfusionMatrix",
     "ConnectionRecord",
+    "Dataset",
     "DatasetSummary",
     "GaidsError",
     "GaParams",
@@ -60,17 +58,13 @@ __all__ = [
     "collapse_to_binary",
     "detect",
     "detection_rate",
-    "distance",
     "false_positive_rate",
     "fit_normalization",
     "load_model",
-    "nearest_chromosome",
-    "normalize",
     "parse_record",
     "per_class_rates",
     "precalculate",
     "run_batch",
     "save_model",
     "summarize",
-    "to_connection_record",
 ]

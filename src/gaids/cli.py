@@ -84,6 +84,8 @@ def load_config_file(path: str) -> dict:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not an ASCII file: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -201,7 +203,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     records, skipped = ingest.load_file(path, strict=values["strict"])
     predictions = engine.run_batch(records, trained, params, workers=workers)
     matrix = metrics.ConfusionMatrix.from_pairs(
-        (rec.category, pred.category) for rec, pred in zip(records, predictions)
+        (actual, pred.category) for actual, pred in zip(records.categories, predictions)
     )
     if values["report"] == "kv":
         print(metrics.format_kv_report(matrix))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .ingest import ConnectionRecord
+from .ingest import ConnectionRecord, Dataset
 from .model import ChromosomeModel
 
 _MAX_SEED = 2**64
@@ -49,8 +49,8 @@ class GaParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.range < 0:
-            raise ValueError("range must be non-negative")
+        if not 0.0 <= self.range < math.inf:
+            raise ValueError("range must be a finite non-negative number")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0,1]")
         if not 0.0 <= self.mutation_rate <= 1.0:
@@ -61,8 +61,8 @@ class GaParams:
             raise ValueError("removal_fraction must be in (0,1)")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
-        if self.mutation_sigma < 0:
-            raise ValueError("mutation_sigma must be non-negative")
+        if not 0.0 <= self.mutation_sigma < math.inf:
+            raise ValueError("mutation_sigma must be a finite non-negative number")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
@@ -171,37 +171,37 @@ def detect(
 _WORKER: dict = {}
 
 
-def _init_worker(model: ChromosomeModel, params: GaParams, records: list[ConnectionRecord]):
+def _init_worker(model: ChromosomeModel, params: GaParams, features: np.ndarray):
     _WORKER["model"] = model
     _WORKER["params"] = params
-    _WORKER["records"] = records
+    _WORKER["features"] = features
 
 
 def _detect_range(
-    records: list[ConnectionRecord], model: ChromosomeModel, params: GaParams, start: int, end: int
+    features: np.ndarray, model: ChromosomeModel, params: GaParams, start: int, end: int
 ) -> list[Prediction]:
     return [
-        detect(records[i], model, params, record_rng(params.seed, i))
+        detect(ConnectionRecord(features[i], None, None), model, params, record_rng(params.seed, i))
         for i in range(start, end)
     ]
 
 
 def _run_range(bounds: tuple[int, int]) -> list[Prediction]:
-    return _detect_range(_WORKER["records"], _WORKER["model"], _WORKER["params"], *bounds)
+    return _detect_range(_WORKER["features"], _WORKER["model"], _WORKER["params"], *bounds)
 
 
 def run_batch(
-    records: list[ConnectionRecord],
+    records: Dataset,
     model: ChromosomeModel,
     params: GaParams,
     workers: int = 1,
 ) -> list[Prediction]:
     """Detect every record. Per-record RNG streams make the result identical
-    for any worker count."""
-    if not records:
+    for any worker count; the pool receives the one feature matrix."""
+    if not len(records):
         return []
     if workers <= 1:
-        return _detect_range(records, model, params, 0, len(records))
+        return _detect_range(records.features, model, params, 0, len(records))
     model.flatten()
     chunk = max(1, math.ceil(len(records) / (workers * 4)))
     bounds = [
@@ -211,7 +211,7 @@ def run_batch(
     with ProcessPoolExecutor(
         max_workers=min(workers, len(bounds)),
         initializer=_init_worker,
-        initargs=(model, params, records),
+        initargs=(model, params, records.features),
     ) as pool:
         results: list[Prediction] = []
         for part in pool.map(_run_range, bounds):

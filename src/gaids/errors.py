@@ -21,10 +21,6 @@ class EmptyDataset(GaidsError):
     """An operation that needs at least one record received none."""
 
 
-class DimensionMismatch(GaidsError):
-    """Feature vectors of different lengths were combined."""
-
-
 class EmptyModel(GaidsError):
     """A model without chromosomes cannot answer nearest/fitness queries."""
 

@@ -1,15 +1,18 @@
 """KDD Cup 1999 connection-record ingestion.
 
-Parses the 42-field CSV lines, maps fine-grained attack names to the five
-top-level classes, summarizes class distributions, and fits/applies min-max
-feature normalization. Only the 38 numeric features are retained; the three
-symbolic ones (protocol_type, service, flag) are dropped.
+Parses the 42-field CSV lines into one Dataset (a raw (N, 38) feature
+matrix plus per-row attack names and categories), maps fine-grained attack
+names to the five top-level classes, summarizes class distributions, and
+fits/applies min-max feature normalization. Only the 38 numeric features
+are retained; the three symbolic ones (protocol_type, service, flag) are
+dropped.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -30,8 +33,18 @@ NUM_FEATURES = 38
 
 # 0-based positions of the symbolic features within the 41-feature layout.
 SYMBOLIC_POSITIONS = (1, 2, 3)
+_NUMERIC_POSITIONS = tuple(p for p in range(NUM_RAW_FEATURES) if p not in SYMBOLIC_POSITIONS)
+_numeric_fields = operator.itemgetter(*_NUMERIC_POSITIONS)
+
+# Rows handled per numpy call where a whole dataset would cost too much
+# memory at once: ingest stacks parsed rows into the matrix this many at a
+# time, and training normalizes this many rows per call.
+BLOCK_ROWS = 1024
 
 CATEGORIES = ("normal", "probe", "dos", "u2r", "r2l")
+
+# Category lenient ingest gives an attack name missing from ATTACK_CATEGORIES.
+FALLBACK_CATEGORY = "normal"
 
 # Fine-grained attack name -> top-level class. Covers the 22 attack names of
 # the 10% training file, the additional names of the "corrected" test file,
@@ -86,17 +99,6 @@ ATTACK_CATEGORIES = {
     "xterm": "u2r",
 }
 
-# The 23 labels present in the 10% training file (22 attacks + normal).
-TRAINING_LABELS = (
-    "normal",
-    "back", "land", "neptune", "pod", "smurf", "teardrop",
-    "ipsweep", "nmap", "portsweep", "satan",
-    "ftp_write", "guess_passwd", "imap", "multihop", "phf", "spy",
-    "warezclient", "warezmaster",
-    "buffer_overflow", "loadmodule", "perl", "rootkit",
-)
-
-
 @dataclass
 class RawRecord:
     """One parsed line: 41 verbatim feature fields plus the label."""
@@ -113,6 +115,25 @@ class ConnectionRecord:
     features: np.ndarray
     attack_name: str | None
     category: str | None
+
+
+@dataclass
+class Dataset:
+    """Records held as columns: one raw (N, 38) float64 feature matrix plus
+    the attack name and category of each row (None for unlabeled input).
+    Iterating yields ConnectionRecord rows whose features are views into
+    the matrix."""
+
+    features: np.ndarray
+    attack_names: list[str | None]
+    categories: list[str | None]
+
+    def __len__(self) -> int:
+        return len(self.attack_names)
+
+    def __iter__(self):
+        for row in zip(self.features, self.attack_names, self.categories):
+            yield ConnectionRecord(*row)
 
 
 @dataclass
@@ -140,7 +161,8 @@ class NormalizationStats:
         return cls(np.zeros(n), np.ones(n))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        """Map features into [0,1]; degenerate features map to 0, outliers clamp."""
+        """Map features (a row or a matrix of rows) into [0,1]; degenerate
+        features map to 0, outliers clamp."""
         span = self.feat_max - self.feat_min
         safe = np.where(span > 0, span, 1.0)
         scaled = np.where(span > 0, (x - self.feat_min) / safe, 0.0)
@@ -166,65 +188,44 @@ def parse_record(line: str, require_label: bool = True) -> RawRecord:
     return RawRecord(fields=parts[:-1], label=label, trailing_period=trailing)
 
 
-def serialize_record(raw: RawRecord) -> str:
-    """Inverse of parse_record for well-formed labeled lines."""
-    label = raw.label + ("." if raw.trailing_period else "")
-    return ",".join(list(raw.fields) + [label])
-
-
-def to_connection_record(
-    raw: RawRecord,
-    strict: bool = True,
-    fallback_category: str = "normal",
-) -> ConnectionRecord:
-    """Drop the symbolic fields, parse the 38 numeric ones, map the label.
-
-    In lenient mode an attack name missing from the mapping is assigned
-    fallback_category instead of raising UnknownLabel.
-    """
-    if len(raw.fields) != NUM_RAW_FEATURES:
-        raise MalformedRecord(
-            f"expected {NUM_RAW_FEATURES} feature fields, got {len(raw.fields)}"
-        )
-    values = np.empty(NUM_FEATURES, dtype=np.float64)
-    out = 0
-    for pos, field in enumerate(raw.fields):
-        if pos in SYMBOLIC_POSITIONS:
-            continue
-        try:
-            v = float(field)
-        except ValueError:
-            raise NonNumericFeature(f"field {pos + 1}: {field!r}") from None
-        if not math.isfinite(v):
-            raise NonNumericFeature(f"field {pos + 1}: non-finite value {field!r}")
-        values[out] = v
-        out += 1
-
-    if raw.label is None:
-        return ConnectionRecord(features=values, attack_name=None, category=None)
-    category = ATTACK_CATEGORIES.get(raw.label)
-    if category is None:
-        if strict:
-            raise UnknownLabel(raw.label)
-        category = fallback_category
-    return ConnectionRecord(features=values, attack_name=raw.label, category=category)
+def _feature_values(fields: list[str]) -> list[float]:
+    """The 38 numeric fields of a line as finite floats."""
+    numeric = _numeric_fields(fields)
+    try:
+        values = list(map(float, numeric))
+    except ValueError:
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        # Only a bad line gets here: name its first bad field.
+        for pos, field in zip(_NUMERIC_POSITIONS, numeric):
+            try:
+                v = float(field)
+            except ValueError:
+                raise NonNumericFeature(f"field {pos + 1}: {field!r}") from None
+            if not math.isfinite(v):
+                raise NonNumericFeature(f"field {pos + 1}: non-finite value {field!r}")
+    return values
 
 
 def read_records(
     lines,
     strict: bool = True,
-    fallback_category: str = "normal",
     require_label: bool = True,
     source: str = "<input>",
-) -> tuple[list[ConnectionRecord], int]:
-    """Parse an iterable of lines into records.
+) -> tuple[Dataset, int]:
+    """Parse an iterable of lines into a Dataset.
 
     Strict mode aborts on the first bad line (error message carries
-    file:line context); lenient mode skips bad lines and counts them, and
-    logs one warning per unknown attack name with its line count.
-    Returns (records, skipped_count). Blank lines are ignored.
+    file:line context); lenient mode skips bad lines and counts them, maps
+    an attack name missing from ATTACK_CATEGORIES to FALLBACK_CATEGORY, and
+    logs one warning per such name with its line count.
+    Returns (dataset, skipped_count). Blank lines are ignored.
     """
-    records: list[ConnectionRecord] = []
+    blocks: list[np.ndarray] = []
+    block = np.empty((BLOCK_ROWS, NUM_FEATURES))
+    filled = 0
+    names: list[str | None] = []
+    categories: list[str | None] = []
     skipped = 0
     unknown: Counter[str] = Counter()
     for lineno, line in enumerate(lines, start=1):
@@ -232,63 +233,62 @@ def read_records(
             continue
         try:
             raw = parse_record(line, require_label=require_label)
-            rec = to_connection_record(raw, strict=strict, fallback_category=fallback_category)
+            values = _feature_values(raw.fields)
+            category = None
+            if raw.label is not None:
+                category = ATTACK_CATEGORIES.get(raw.label)
+                if category is None:
+                    if strict:
+                        raise UnknownLabel(raw.label)
+                    unknown[raw.label] += 1
+                    category = FALLBACK_CATEGORY
         except (MalformedRecord, NonNumericFeature, UnknownLabel) as exc:
             if strict:
                 raise type(exc)(f"{source}:{lineno}: {exc}") from exc
             skipped += 1
             continue
-        if rec.attack_name is not None and rec.attack_name not in ATTACK_CATEGORIES:
-            unknown[rec.attack_name] += 1
-        records.append(rec)
+        block[filled] = values
+        filled += 1
+        names.append(raw.label)
+        categories.append(category)
+        if filled == BLOCK_ROWS:
+            blocks.append(block)
+            block = np.empty((BLOCK_ROWS, NUM_FEATURES))
+            filled = 0
+    blocks.append(block[:filled])
+    # Move the blocks into one matrix, dropping each once it is copied, so
+    # that the rows are not held twice.
+    features = np.empty((len(names), NUM_FEATURES))
+    end = len(names)
+    while blocks:
+        part = blocks.pop()
+        features[end - len(part) : end] = part
+        end -= len(part)
     for name, count in unknown.items():
         log.warning(
             "%s: unknown attack name %r on %d line(s), assigned category %r",
-            source, name, count, fallback_category,
+            source, name, count, FALLBACK_CATEGORY,
         )
-    return records, skipped
+    return Dataset(features, names, categories), skipped
 
 
-def load_file(
-    path,
-    strict: bool = True,
-    fallback_category: str = "normal",
-    require_label: bool = True,
-) -> tuple[list[ConnectionRecord], int]:
+def load_file(path, strict: bool = True, require_label: bool = True) -> tuple[Dataset, int]:
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        return read_records(
-            fh,
-            strict=strict,
-            fallback_category=fallback_category,
-            require_label=require_label,
-            source=str(path),
-        )
+        return read_records(fh, strict=strict, require_label=require_label, source=str(path))
 
 
-def summarize(records) -> DatasetSummary:
+def summarize(data: Dataset) -> DatasetSummary:
     """Count records per top-level category."""
-    counts = {c: 0 for c in CATEGORIES}
-    total = 0
-    for rec in records:
-        if rec.category is None:
-            raise ValueError("cannot summarize unlabeled records")
-        counts[rec.category] += 1
-        total += 1
-    return DatasetSummary(counts=counts, total=total)
+    if None in data.categories:
+        raise ValueError("cannot summarize unlabeled records")
+    counts = Counter(data.categories)
+    return DatasetSummary(counts={c: counts[c] for c in CATEGORIES}, total=len(data))
 
 
-def fit_normalization(records) -> NormalizationStats:
+def fit_normalization(data: Dataset) -> NormalizationStats:
     """Per-feature min/max over the training records."""
-    if not records:
+    if not len(data):
         raise EmptyDataset("cannot fit normalization on an empty dataset")
-    feat_min = records[0].features.copy()
-    feat_max = records[0].features.copy()
-    for rec in records[1:]:
-        np.minimum(feat_min, rec.features, out=feat_min)
-        np.maximum(feat_max, rec.features, out=feat_max)
-    return NormalizationStats(feat_min=feat_min, feat_max=feat_max)
-
-
-def normalize(record: ConnectionRecord, stats: NormalizationStats) -> np.ndarray:
-    """Normalized feature vector of one record, componentwise in [0,1]."""
-    return stats.transform(record.features)
+    return NormalizationStats(
+        feat_min=data.features.min(axis=0), feat_max=data.features.max(axis=0)
+    )

@@ -1,7 +1,8 @@
-"""Hot distance kernels (numpy): scalar distance, nearest-centroid scan and
-the spread-normalized population fitness scan.
+"""Hot distance kernels (numpy): the nearest-centroid scan and the
+spread-normalized population fitness scan, both over the dimension-
+normalized Euclidean distance sqrt(sum((a-b)^2)/n).
 
-All three are deterministic; ties resolve to the lowest index (np.argmin).
+Both are deterministic; ties resolve to the lowest index (np.argmin).
 
 `batch_fitness` scores a whole population of P rows against all K
 chromosomes in one screen-and-verify pass instead of one full scan per row.
@@ -45,12 +46,6 @@ _TINY = np.finfo(np.float64).tiny
 # Widens the cut past the ~20 eps by which a lower and an upper squared
 # score of two equal exact scores can disagree.
 _WIDEN = 1.0 + 64 * _EPS
-
-
-def distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Dimension-normalized Euclidean distance sqrt(sum((a-b)^2)/n)."""
-    d = a - b
-    return math.sqrt(float((d * d).sum()) / a.shape[0])
 
 
 def nearest_centroid(x: np.ndarray, centroids: np.ndarray) -> tuple[int, float]:

@@ -17,13 +17,12 @@ import numpy as np
 
 from . import kernels
 from .errors import (
-    DimensionMismatch,
     EmptyDataset,
     EmptyModel,
     ModelFormatError,
     ModelVersionMismatch,
 )
-from .ingest import CATEGORIES, ConnectionRecord, NormalizationStats
+from .ingest import BLOCK_ROWS, CATEGORIES, NUM_FEATURES, Dataset, NormalizationStats
 
 MODEL_FORMAT_TAG = "gaids-model"
 MODEL_FORMAT_VERSION = "1"
@@ -33,23 +32,13 @@ MODEL_FORMAT_VERSION = "1"
 SPREAD_EPSILON = 1e-6
 
 
-def distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Dimension-normalized Euclidean distance, in [0,1] for unit-cube inputs."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"vector lengths differ: {a.shape[0]} vs {b.shape[0]}")
-    return kernels.distance(a, b)
-
-
 @dataclass
 class Chromosome:
-    """A merged prototype: centroid, member count, spread, owning label."""
+    """A merged prototype: centroid, member count, spread."""
 
     centroid: np.ndarray
     member_count: int = 1
     spread: float = 0.0
-    group_label: str = ""
 
 
 @dataclass
@@ -71,7 +60,6 @@ class _FlatModel:
     denoms: np.ndarray  # spread + SPREAD_EPSILON
     labels: list[str]
     category_of: dict[str, str]
-    chromosomes: list[Chromosome]
 
 
 @dataclass
@@ -91,13 +79,8 @@ class ChromosomeModel:
         """Build (and cache) the flattened scan view. The model must not be
         mutated afterwards."""
         if self._flat is None:
-            chroms: list[Chromosome] = []
-            labels: list[str] = []
             groups = sorted(self.groups, key=lambda g: g.label)
-            for group in groups:
-                for c in group.chromosomes:
-                    chroms.append(c)
-                    labels.append(group.label)
+            chroms = [c for g in groups for c in g.chromosomes]
             if not chroms:
                 raise EmptyModel("model holds no chromosomes")
             centroids = np.ascontiguousarray(
@@ -108,9 +91,8 @@ class ChromosomeModel:
                 centroids=centroids,
                 sq_norms=(centroids * centroids).sum(axis=1),
                 denoms=spreads + SPREAD_EPSILON,
-                labels=labels,
+                labels=[g.label for g in groups for _ in g.chromosomes],
                 category_of={g.label: g.category for g in groups},
-                chromosomes=chroms,
             )
         return self._flat
 
@@ -164,7 +146,6 @@ class _GroupBuilder:
                 centroid=self.centroids[i].copy(),
                 member_count=self.counts[i],
                 spread=math.sqrt(self.m2s[i] / self.counts[i]),
-                group_label=self.label,
             )
             for i in range(self.size)
         ]
@@ -172,7 +153,7 @@ class _GroupBuilder:
 
 
 def precalculate(
-    training: list[ConnectionRecord],
+    training: Dataset,
     merge_range: float,
     stats: NormalizationStats,
 ) -> ChromosomeModel:
@@ -180,53 +161,39 @@ def precalculate(
     chromosome of its own label group when within merge_range, else seed a
     new chromosome. Groups appear in first-sight label order; the pass is
     order-dependent and bit-reproducible for a fixed input order.
+    Normalization runs on BLOCK_ROWS rows at a time.
     """
-    if not training:
+    if not len(training):
         raise EmptyDataset("cannot precalculate on an empty dataset")
     if merge_range < 0:
         raise ValueError("merge range must be non-negative")
+    if None in training.attack_names:
+        raise ValueError("training records must be labeled")
 
     builders: dict[str, _GroupBuilder] = {}
-    order: list[str] = []
-    for rec in training:
-        if rec.attack_name is None:
-            raise ValueError("training records must be labeled")
-        x = stats.transform(rec.features)
-        builder = builders.get(rec.attack_name)
-        if builder is None:
-            builder = _GroupBuilder(rec.attack_name, rec.category, x.shape[0])
-            builders[rec.attack_name] = builder
-            order.append(rec.attack_name)
-            builder.add(x)
-            continue
-        idx, d = kernels.nearest_centroid(x, builder.view())
-        if d <= merge_range:
-            builder.merge(idx, x, d)
-        else:
-            builder.add(x)
+    for start in range(0, len(training), BLOCK_ROWS):
+        end = start + BLOCK_ROWS
+        block = stats.transform(training.features[start:end])
+        names = training.attack_names[start:end]
+        categories = training.categories[start:end]
+        for x, name, category in zip(block, names, categories):
+            builder = builders.get(name)
+            if builder is None:
+                builder = builders[name] = _GroupBuilder(name, category, x.shape[0])
+                builder.add(x)
+                continue
+            idx, d = kernels.nearest_centroid(x, builder.view())
+            if d <= merge_range:
+                builder.merge(idx, x, d)
+            else:
+                builder.add(x)
 
-    groups = [builders[label].freeze() for label in order]
     return ChromosomeModel(
-        groups=groups,
+        groups=[builder.freeze() for builder in builders.values()],
         normalization=stats,
         range_used=merge_range,
         training_size=len(training),
     )
-
-
-def nearest_chromosome(x: np.ndarray, model: ChromosomeModel) -> tuple[Chromosome, float]:
-    """The chromosome minimizing distance(x, centroid) over all groups.
-
-    Ties resolve by group label (lexicographic), then insertion order.
-    """
-    flat = model.flatten()
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.shape[0] != flat.centroids.shape[1]:
-        raise DimensionMismatch(
-            f"vector lengths differ: {x.shape[0]} vs {flat.centroids.shape[1]}"
-        )
-    idx, d = kernels.nearest_centroid(x, flat.centroids)
-    return flat.chromosomes[idx], d
 
 
 def _fmt(v: float) -> str:
@@ -266,7 +233,7 @@ def load_model(path) -> ChromosomeModel:
     trained model cannot hold (unknown category, one label under two
     categories, member count below 1, negative or non-finite spread,
     non-finite value, centroid value outside [0,1], a feature minimum above
-    its maximum, non-ASCII bytes)."""
+    its maximum, a feature count other than NUM_FEATURES, non-ASCII bytes)."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -285,6 +252,10 @@ def load_model(path) -> ChromosomeModel:
         num_features = int(header[4])
     except ValueError as exc:
         raise ModelFormatError(f"bad header: {exc}") from None
+    if num_features != NUM_FEATURES:
+        raise ModelFormatError(
+            f"model has {num_features} features per row, records have {NUM_FEATURES}"
+        )
     if len(lines) < 3:
         raise ModelFormatError("missing normalization rows")
 
@@ -351,9 +322,7 @@ def load_model(path) -> ChromosomeModel:
             )
         centroids[row] = parse_values(tokens[4:])
         group.chromosomes.append(
-            Chromosome(
-                centroid=centroids[row], member_count=count, spread=spread, group_label=label
-            )
+            Chromosome(centroid=centroids[row], member_count=count, spread=spread)
         )
         member_total += count
     check_values(centroids, 0.0, 1.0)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gaids.ingest import NUM_FEATURES, ConnectionRecord, NormalizationStats
+from gaids.ingest import ATTACK_CATEGORIES, NUM_FEATURES, ConnectionRecord, Dataset, NormalizationStats
 from gaids.model import Chromosome, ChromosomeGroup, ChromosomeModel
-from gaids.ingest import ATTACK_CATEGORIES
 
 # Verbatim lines from the 10% KDD99 training file (42 fields, trailing-period
 # label; duration first, then the three symbolic fields).
@@ -27,6 +26,17 @@ def record(values, label="normal"):
     )
 
 
+def dataset(records):
+    """Dataset holding the features and labels of a list of ConnectionRecords."""
+    records = list(records)
+    features = np.stack([r.features for r in records]) if records else np.empty((0, NUM_FEATURES))
+    return Dataset(
+        features=features,
+        attack_names=[r.attack_name for r in records],
+        categories=[r.category for r in records],
+    )
+
+
 def build_model(centroids, labels, spreads=None, counts=None, stats=None):
     """ChromosomeModel straight from arrays, bypassing precalculation."""
     centroids = np.asarray(centroids, dtype=np.float64)
@@ -47,7 +57,6 @@ def build_model(centroids, labels, spreads=None, counts=None, stats=None):
                 centroid=np.array(cen, dtype=np.float64),
                 member_count=count,
                 spread=float(spread),
-                group_label=label,
             )
         )
     return ChromosomeModel(

@@ -16,7 +16,7 @@ from gaids.ingest import NUM_FEATURES, NormalizationStats, fit_normalization, re
 from gaids.metrics import BinaryCounts, ConfusionMatrix, detection_rate, false_positive_rate, per_class_rates
 from gaids.model import precalculate, save_model
 
-from conftest import build_model, record
+from conftest import build_model, dataset, record
 from test_engine import DEGENERATE, bruteforce_fitness
 from test_metrics import FIXTURE, TEST_DISTRIBUTION
 
@@ -91,15 +91,16 @@ def test_criterion_5_precalculation_conservation():
         record(rng.random(NUM_FEATURES), labels[int(rng.integers(0, 5))])
         for _ in range(400)
     ]
-    trained = precalculate(recs, 0.25, NormalizationStats.identity())
+    trained = precalculate(dataset(recs), 0.25, NormalizationStats.identity())
     total = sum(c.member_count for g in trained.groups for c in g.chromosomes)
     conserve_ok = total == 400
-    labels_ok = all(
-        c.group_label == g.label for g in trained.groups for c in g.chromosomes
-    )
+    # Each group holds exactly the records of its label.
+    labels_ok = {
+        g.label: sum(c.member_count for c in g.chromosomes) for g in trained.groups
+    } == {label: sum(r.attack_name == label for r in recs) for label in labels}
 
     near = [record({0: 0.00}), record({0: 0.02}), record({0: 0.04})]
-    m_near = precalculate(near, 0.125, NormalizationStats.identity())
+    m_near = precalculate(dataset(near), 0.125, NormalizationStats.identity())
     one_ok = (
         len(m_near.groups) == 1
         and len(m_near.groups[0].chromosomes) == 1
@@ -110,7 +111,7 @@ def test_criterion_5_precalculation_conservation():
         record(np.ones(NUM_FEATURES)),
         record(np.full(NUM_FEATURES, 0.5)),
     ]
-    m_far = precalculate(far, 0.125, NormalizationStats.identity())
+    m_far = precalculate(dataset(far), 0.125, NormalizationStats.identity())
     three_ok = len(m_far.groups[0].chromosomes) == 3
     ok = conserve_ok and labels_ok and one_ok and three_ok
     report(

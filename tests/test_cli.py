@@ -214,6 +214,24 @@ class TestDetectCommand:
         assert code == EXIT_MODEL
 
 
+    @pytest.mark.parametrize("command", ["detect", "evaluate"])
+    def test_model_feature_count_exit_model(self, workspace, capsys, command):
+        # A self-consistent model over 3 features: records have 38.
+        tmp, _, test = workspace
+        small = tmp / "small.model"
+        small.write_text(
+            "gaids-model 1 0.125 2 3\n"
+            "normal normal 1 0.0 0.1 0.2 0.3\n"
+            "smurf dos 1 0.0 0.5 0.5 0.5\n"
+            "0.0 0.0 0.0\n"
+            "1.0 1.0 1.0\n"
+        )
+        code, out, err = run_cli(capsys, command, "--model", str(small), "--test-file", str(test))
+        assert code == EXIT_MODEL
+        assert out == ""
+        assert err == "error: model has 3 features per row, records have 38\n"
+
+
 class TestEvaluateCommand:
     def test_reports_and_parallel_equivalence(self, workspace, capsys):
         tmp, train, test = workspace
@@ -337,13 +355,43 @@ class TestConfigFile:
         code, _, _ = run_cli(capsys, "detect", "--config", str(config))
         assert code == EXIT_CONFIG
 
-    def test_invalid_ga_params_exit_config(self, workspace, capsys):
-        tmp, train, _ = workspace
-        code, _, err = run_cli(
-            capsys, "train", "--train-file", str(train), "--model", str(tmp / "m.model"),
-            "--removal-fraction", "1.5",
-        )
+    @pytest.mark.parametrize(
+        "command, source, key, value",
+        [
+            ("train", "flag", "removal-fraction", "1.5"),
+            ("train", "flag", "range", "nan"),
+            ("train", "config", "range", "nan"),
+            ("train", "flag", "range", "inf"),
+            ("evaluate", "flag", "mutation-sigma", "nan"),
+            ("evaluate", "config", "mutation-sigma", "nan"),
+            ("detect", "flag", "mutation-sigma", "inf"),
+            ("detect", "config", "range", "-inf"),
+        ],
+    )
+    def test_invalid_ga_params_exit_config(self, workspace, capsys, command, source, key, value):
+        tmp, train, test = workspace
+        model_path = tmp / "m.model"
+        code, _, _ = run_cli(capsys, "train", "--train-file", str(train), "--model", str(model_path))
+        assert code == EXIT_OK
+        files = ["--train-file", str(train), "--model", str(model_path), "--test-file", str(test)]
+        if source == "flag":
+            setting = [f"--{key}", value]
+        else:
+            config = tmp / "run.conf"
+            config.write_text(f"{key}={value}\n")
+            setting = ["--config", str(config)]
+        code, out, err = run_cli(capsys, command, *files, *setting)
         assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"{key.replace('-', '_')} must be" in err
+
+    def test_non_ascii_config_exit_config(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"seed=\xff\n")
+        code, _, err = run_cli(capsys, "detect", "--config", str(config))
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ")
+        assert "not an ASCII file" in err
 
     @pytest.mark.parametrize("command", ["detect", "evaluate"])
     @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -21,7 +21,7 @@ from gaids.errors import EmptyModel
 from gaids.ingest import NUM_FEATURES
 from gaids.model import SPREAD_EPSILON
 
-from conftest import build_model, random_model, record
+from conftest import build_model, dataset, random_model, record
 
 DEGENERATE = dict(population_size=1, mutation_rate=0.0, crossover_rate=0.0)
 
@@ -403,17 +403,17 @@ class TestDetect:
 
 class TestRunBatch:
     def test_empty_input(self, rng):
-        assert run_batch([], random_model(rng, 3), GaParams()) == []
+        assert run_batch(dataset([]), random_model(rng, 3), GaParams()) == []
 
     def test_serial_deterministic(self, rng):
         m = random_model(rng, 8)
-        recs = [record(rng.random(NUM_FEATURES)) for _ in range(20)]
+        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(20))
         params = GaParams(seed=11)
         assert run_batch(recs, m, params) == run_batch(recs, m, params)
 
     def test_parallel_equals_serial(self, rng):
         m = random_model(rng, 8)
-        recs = [record(rng.random(NUM_FEATURES)) for _ in range(30)]
+        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(30))
         params = GaParams(seed=11)
         serial = run_batch(recs, m, params, workers=1)
         parallel = run_batch(recs, m, params, workers=3)
@@ -441,7 +441,7 @@ class TestRunBatch:
         monkeypatch.setattr(engine, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(engine, "_WORKER", {})
         m = random_model(rng, 8)
-        recs = [record(rng.random(NUM_FEATURES)) for _ in range(2)]
+        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(2))
         params = GaParams(seed=11)
         assert run_batch(recs, m, params, workers=8) == run_batch(recs, m, params)
         assert requested == [2]
@@ -452,6 +452,6 @@ class TestRunBatch:
         m = random_model(rng, 8)
         recs = [record(rng.random(NUM_FEATURES)) for _ in range(4)]
         params = GaParams(seed=42)
-        full = run_batch(recs, m, params)
+        full = run_batch(dataset(recs), m, params)
         direct = detect(recs[2], m, params, record_rng(params.seed, 2))
         assert full[2] == direct

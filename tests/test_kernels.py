@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -81,11 +82,13 @@ def test_exact_ties_resolve_to_first_index():
 
 
 def test_scan_distance_equals_scalar_distance(rng):
-    # The merge decision and the spread stream must see the same float.
+    # The distance the scan returns is the float of the one-pair expression
+    # sqrt(sum((x-c)^2)/n) for the row it picks.
     centroids = rng.random((40, 38))
     for x in rng.random((16, 38)):
         idx, d = kernels.nearest_centroid(x, centroids)
-        assert d == kernels.distance(x, centroids[idx])
+        diff = x - centroids[idx]
+        assert d == math.sqrt(float((diff * diff).sum()) / x.shape[0])
 
 
 @pytest.mark.parametrize(

@@ -4,34 +4,38 @@ import pickle
 import numpy as np
 import pytest
 
+from gaids import kernels
 from gaids.errors import (
-    DimensionMismatch,
     EmptyDataset,
     EmptyModel,
     ModelFormatError,
     ModelVersionMismatch,
 )
 from gaids.ingest import NUM_FEATURES, NormalizationStats
-from gaids.model import (
-    SPREAD_EPSILON,
-    distance,
-    load_model,
-    nearest_chromosome,
-    precalculate,
-    save_model,
-)
+from gaids.model import SPREAD_EPSILON, load_model, precalculate, save_model
 
-from conftest import build_model, random_model, record
+from conftest import build_model, dataset, random_model, record
+
+
+def distance(a, b):
+    """The distance the kernels use, here of a against a one-row model."""
+    return kernels.nearest_centroid(a, b[None, :])[1]
+
+
+def nearest(x, model):
+    """(index into the flattened model, distance) of x's nearest chromosome."""
+    return kernels.nearest_centroid(x, model.flatten().centroids)
 
 
 def bruteforce_nearest(x, model):
-    """Exhaustive linear scan, plain python, spec tie-break."""
+    """Exhaustive linear scan over the chromosomes in flattened order (by
+    group label, then insertion order), plain python, first index wins."""
     best = None
-    for group in sorted(model.groups, key=lambda g: g.label):
-        for chrom in group.chromosomes:
-            d = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, chrom.centroid)) / len(x))
-            if best is None or d < best[1]:
-                best = (chrom, d)
+    chroms = [c for g in sorted(model.groups, key=lambda g: g.label) for c in g.chromosomes]
+    for i, chrom in enumerate(chroms):
+        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, chrom.centroid)) / len(x))
+        if best is None or d < best[1]:
+            best = (i, d)
     return best
 
 
@@ -55,15 +59,11 @@ class TestDistance:
         a, b = rng.random(NUM_FEATURES), rng.random(NUM_FEATURES)
         assert distance(a, b) == distance(b, a)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            distance(np.zeros(5), np.zeros(6))
-
 
 def merge_all(points, label="normal"):
     """The single chromosome precalculate builds from `points`, with a merge
     range spanning the whole unit cube so that every record merges."""
-    m = precalculate([record(x, label) for x in points], 1.0, NormalizationStats.identity())
+    m = precalculate(dataset(record(x, label) for x in points), 1.0, NormalizationStats.identity())
     [chrom] = m.groups[0].chromosomes
     return chrom
 
@@ -107,7 +107,7 @@ class TestPrecalculate:
         # Hand trace: r1 seeds; r2 within range of r1 merges (centroid at the
         # midpoint); r3 is within range of the midpoint, merges too.
         recs = [record({0: 0.00}), record({0: 0.02}), record({0: 0.04})]
-        m = precalculate(recs, 0.125, NormalizationStats.identity())
+        m = precalculate(dataset(recs), 0.125, NormalizationStats.identity())
         assert len(m.groups) == 1
         assert len(m.groups[0].chromosomes) == 1
         assert m.groups[0].chromosomes[0].member_count == 3
@@ -118,7 +118,7 @@ class TestPrecalculate:
             record(np.ones(NUM_FEATURES)),
             record(np.full(NUM_FEATURES, 0.5)),
         ]
-        m = precalculate(recs, 0.125, NormalizationStats.identity())
+        m = precalculate(dataset(recs), 0.125, NormalizationStats.identity())
         assert len(m.groups[0].chromosomes) == 3
         assert all(c.member_count == 1 for c in m.groups[0].chromosomes)
 
@@ -128,7 +128,7 @@ class TestPrecalculate:
             record(rng.random(NUM_FEATURES), labels[int(rng.integers(0, 4))])
             for _ in range(300)
         ]
-        m = precalculate(recs, 0.3, NormalizationStats.identity())
+        m = precalculate(dataset(recs), 0.3, NormalizationStats.identity())
         total = sum(c.member_count for g in m.groups for c in g.chromosomes)
         assert total == 300
         assert m.training_size == 300
@@ -137,25 +137,47 @@ class TestPrecalculate:
         # Identical feature vectors under two labels must seed two chromosomes.
         x = rng.random(NUM_FEATURES)
         recs = [record(x, "normal"), record(x, "smurf"), record(x, "normal")]
-        m = precalculate(recs, 0.5, NormalizationStats.identity())
+        m = precalculate(dataset(recs), 0.5, NormalizationStats.identity())
         by_label = {g.label: g for g in m.groups}
+        assert len(by_label["normal"].chromosomes) == len(by_label["smurf"].chromosomes) == 1
         assert by_label["normal"].chromosomes[0].member_count == 2
         assert by_label["smurf"].chromosomes[0].member_count == 1
-        for g in m.groups:
-            assert all(c.group_label == g.label for c in g.chromosomes)
 
     def test_bit_reproducible(self, rng):
         recs = [
             record(rng.random(NUM_FEATURES), ["normal", "smurf"][i % 2])
             for i in range(100)
         ]
-        m1 = precalculate(recs, 0.2, NormalizationStats.identity())
-        m2 = precalculate(recs, 0.2, NormalizationStats.identity())
+        m1 = precalculate(dataset(recs), 0.2, NormalizationStats.identity())
+        m2 = precalculate(dataset(recs), 0.2, NormalizationStats.identity())
         for g1, g2 in zip(m1.groups, m2.groups):
             for c1, c2 in zip(g1.chromosomes, g2.chromosomes):
                 assert np.array_equal(c1.centroid, c2.centroid)
                 assert c1.spread == c2.spread
                 assert c1.member_count == c2.member_count
+
+    def test_normalization_blocks_do_not_change_the_model(self, rng, monkeypatch):
+        recs = dataset(
+            record(rng.random(NUM_FEATURES) * 9, ["normal", "smurf"][i % 2]) for i in range(50)
+        )
+        stats = NormalizationStats(np.zeros(NUM_FEATURES), np.full(NUM_FEATURES, 9.0))
+        whole = precalculate(recs, 0.2, stats)
+        monkeypatch.setattr("gaids.model.BLOCK_ROWS", 7)
+        blocked = precalculate(recs, 0.2, stats)
+        members = {g.label: sum(c.member_count for c in g.chromosomes) for g in blocked.groups}
+        assert members == {"normal": 25, "smurf": 25}
+        assert [g.label for g in blocked.groups] == [g.label for g in whole.groups]
+        for g1, g2 in zip(whole.groups, blocked.groups):
+            assert len(g1.chromosomes) == len(g2.chromosomes)
+            for c1, c2 in zip(g1.chromosomes, g2.chromosomes):
+                assert np.array_equal(c1.centroid, c2.centroid)
+                assert (c1.spread, c1.member_count) == (c2.spread, c2.member_count)
+
+    def test_unlabeled_records_rejected(self):
+        unlabeled = dataset([record({})])
+        unlabeled.attack_names[0] = unlabeled.categories[0] = None
+        with pytest.raises(ValueError, match="must be labeled"):
+            precalculate(unlabeled, 0.125, NormalizationStats.identity())
 
     def test_tight_groups_make_single_chromosomes(self, rng):
         # All points of a label within range/2 of the label's first point:
@@ -170,17 +192,17 @@ class TestPrecalculate:
                 x = first + offset
                 assert distance(x, first) < rng_range / 2
                 recs.append(record(np.clip(x, 0, 1), label))
-        m = precalculate(recs, rng_range, NormalizationStats.identity())
+        m = precalculate(dataset(recs), rng_range, NormalizationStats.identity())
         assert all(len(g.chromosomes) == 1 for g in m.groups)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            precalculate([], 0.125, NormalizationStats.identity())
+            precalculate(dataset([]), 0.125, NormalizationStats.identity())
 
     def test_zero_range_merges_exact_duplicates_only(self, rng):
         x = rng.random(NUM_FEATURES)
         recs = [record(x), record(x), record(rng.random(NUM_FEATURES))]
-        m = precalculate(recs, 0.0, NormalizationStats.identity())
+        m = precalculate(dataset(recs), 0.0, NormalizationStats.identity())
         counts = sorted(c.member_count for c in m.groups[0].chromosomes)
         assert counts == [1, 2]
 
@@ -189,24 +211,24 @@ class TestNearestChromosome:
     def test_single_chromosome(self, rng):
         m = build_model([np.full(NUM_FEATURES, 0.5)], ["normal"])
         x = rng.random(NUM_FEATURES)
-        chrom, d = nearest_chromosome(x, m)
-        assert chrom is m.groups[0].chromosomes[0]
-        assert d == distance(x, chrom.centroid)
+        idx, d = nearest(x, m)
+        assert idx == 0
+        assert d == distance(x, m.groups[0].chromosomes[0].centroid)
 
     def test_exact_centroid_hit(self, rng):
         m = random_model(rng, 10)
         target = m.groups[0].chromosomes[0]
-        chrom, d = nearest_chromosome(target.centroid.copy(), m)
+        idx, d = nearest(target.centroid.copy(), m)
         assert d == 0.0
-        assert np.array_equal(chrom.centroid, target.centroid)
+        assert np.array_equal(m.flatten().centroids[idx], target.centroid)
 
     def test_matches_bruteforce_scan(self, rng):
         m = random_model(rng, 10)
         for _ in range(100):
             x = rng.random(NUM_FEATURES)
-            chrom, d = nearest_chromosome(x, m)
-            expected_chrom, expected_d = bruteforce_nearest(x, m)
-            assert chrom is expected_chrom
+            idx, d = nearest(x, m)
+            expected_idx, expected_d = bruteforce_nearest(x, m)
+            assert idx == expected_idx
             assert d == pytest.approx(expected_d, abs=1e-12)
 
     def test_tie_breaks_by_label_order(self):
@@ -218,19 +240,22 @@ class TestNearestChromosome:
         # Same distance to x; "back" sorts before "smurf" regardless of
         # group creation order.
         m = build_model([a, b], ["smurf", "back"])
-        chrom, _ = nearest_chromosome(x, m)
-        assert chrom.group_label == "back"
+        idx, _ = nearest(x, m)
+        assert m.flatten().labels[idx] == "back"
 
     def test_empty_model(self):
         m = build_model(np.zeros((1, NUM_FEATURES)), ["normal"])
         m.groups[0].chromosomes.clear()
         with pytest.raises(EmptyModel):
-            nearest_chromosome(np.zeros(NUM_FEATURES), m)
+            nearest(np.zeros(NUM_FEATURES), m)
 
-    def test_dimension_mismatch(self, rng):
-        m = random_model(rng, 3)
-        with pytest.raises(DimensionMismatch):
-            nearest_chromosome(np.zeros(7), m)
+    def test_dimension_mismatch(self, rng, tmp_path):
+        # Records always have NUM_FEATURES features, so a model's feature
+        # count can only disagree in a model file, and loading rejects it.
+        path = tmp_path / "m.model"
+        save_model(random_model(rng, 3, num_features=7), path)
+        with pytest.raises(ModelFormatError, match="model has 7 features per row"):
+            load_model(path)
 
 
 class TestFlatten:
@@ -238,7 +263,8 @@ class TestFlatten:
         m = random_model(rng, 12)
         flat = m.flatten()
         assert m.flatten() is flat
-        spreads = np.array([c.spread for c in flat.chromosomes])
+        groups = sorted(m.groups, key=lambda g: g.label)
+        spreads = np.array([c.spread for g in groups for c in g.chromosomes])
         assert np.array_equal(flat.sq_norms, (flat.centroids**2).sum(axis=1))
         assert np.array_equal(flat.denoms, spreads + SPREAD_EPSILON)
         assert flat.category_of == {g.label: g.category for g in m.groups}
@@ -263,7 +289,7 @@ class TestPersistence:
             for i in range(60)
         ]
         stats = NormalizationStats(rng.random(NUM_FEATURES), 1 + rng.random(NUM_FEATURES))
-        m = precalculate(recs, 0.15, stats)
+        m = precalculate(dataset(recs), 0.15, stats)
         p1, p2 = tmp_path / "a.model", tmp_path / "b.model"
         save_model(m, p1)
         save_model(load_model(p1), p2)
@@ -271,7 +297,7 @@ class TestPersistence:
 
     def test_roundtrip_preserves_classification(self, tmp_path, rng):
         recs = [record(rng.random(NUM_FEATURES), "normal") for _ in range(30)]
-        m = precalculate(recs, 0.2, NormalizationStats.identity())
+        m = precalculate(dataset(recs), 0.2, NormalizationStats.identity())
         path = tmp_path / "m.model"
         save_model(m, path)
         loaded = load_model(path)
@@ -279,11 +305,10 @@ class TestPersistence:
         assert loaded.training_size == m.training_size
         for _ in range(20):
             x = rng.random(NUM_FEATURES)
-            c1, d1 = nearest_chromosome(x, m)
-            c2, d2 = nearest_chromosome(x, loaded)
+            (i1, d1), (i2, d2) = nearest(x, m), nearest(x, loaded)
             assert d1 == d2
-            assert np.array_equal(c1.centroid, c2.centroid)
-            assert c1.spread == c2.spread
+            assert np.array_equal(m.flatten().centroids[i1], loaded.flatten().centroids[i2])
+            assert m.flatten().denoms[i1] == loaded.flatten().denoms[i2]
 
     def test_saved_model_evaluates_identically(self, tmp_path, rng):
         # Persistence must be lossless for classification: detections through
@@ -295,10 +320,10 @@ class TestPersistence:
             for i in range(90)
         ]
         stats = NormalizationStats(rng.random(NUM_FEATURES), 1 + rng.random(NUM_FEATURES))
-        m = precalculate(recs, 0.2, stats)
+        m = precalculate(dataset(recs), 0.2, stats)
         path = tmp_path / "m.model"
         save_model(m, path)
-        queries = [record(rng.random(NUM_FEATURES)) for _ in range(15)]
+        queries = dataset(record(rng.random(NUM_FEATURES)) for _ in range(15))
         params = GaParams(seed=31)
         assert run_batch(queries, m, params) == run_batch(queries, load_model(path), params)
 
@@ -316,7 +341,7 @@ class TestPersistence:
 
     def test_rejects_count_mismatch(self, tmp_path, rng):
         recs = [record(rng.random(NUM_FEATURES), "normal") for _ in range(5)]
-        m = precalculate(recs, 0.5, NormalizationStats.identity())
+        m = precalculate(dataset(recs), 0.5, NormalizationStats.identity())
         path = tmp_path / "m.model"
         save_model(m, path)
         lines = path.read_text().splitlines()
