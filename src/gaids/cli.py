@@ -10,9 +10,11 @@ read or written (OSError), 3 data parse error, 4 model error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
+import typing
 
 from . import engine, ingest, metrics, model, synth
 from .errors import (
@@ -31,16 +33,12 @@ EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_MODEL = 4
 
+_GA_FIELDS = dataclasses.fields(engine.GaParams)
+_GA_TYPES = typing.get_type_hints(engine.GaParams)
+
 # Built-in defaults for everything a config file may override.
 DEFAULTS = {
-    "range": 0.125,
-    "crossover_rate": 0.15,
-    "mutation_rate": 0.35,
-    "population_size": 32,
-    "removal_fraction": 0.25,
-    "max_generations": 64,
-    "mutation_sigma": 0.05,
-    "seed": 0,
+    **{f.name: f.default for f in _GA_FIELDS},
     "workers": 1,
     "strict": True,
     "report": "table",
@@ -50,14 +48,7 @@ DEFAULTS = {
 }
 
 _CONFIG_TYPES = {
-    "range": float,
-    "crossover_rate": float,
-    "mutation_rate": float,
-    "population_size": int,
-    "removal_fraction": float,
-    "max_generations": int,
-    "mutation_sigma": float,
-    "seed": int,
+    **_GA_TYPES,
     "workers": int,
     "strict": "bool",
     "report": str,
@@ -123,16 +114,7 @@ def _merged(args: argparse.Namespace) -> dict:
 
 def _ga_params(values: dict) -> engine.GaParams:
     try:
-        return engine.GaParams(
-            range=values["range"],
-            crossover_rate=values["crossover_rate"],
-            mutation_rate=values["mutation_rate"],
-            population_size=values["population_size"],
-            removal_fraction=values["removal_fraction"],
-            max_generations=values["max_generations"],
-            mutation_sigma=values["mutation_sigma"],
-            seed=values["seed"],
-        )
+        return engine.GaParams(**{f.name: values[f.name] for f in _GA_FIELDS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -169,9 +151,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(summary.to_kv())
     if skipped:
         print(f"skipped={skipped}")
-    print(f"groups={len(trained.groups)}")
+    groups = trained.groups
+    print(f"groups={len(groups)}")
     print(f"chromosomes={trained.num_chromosomes()}")
-    for group in trained.groups:
+    for group in groups:
         members = sum(c.member_count for c in group.chromosomes)
         print(f"group,{group.label},{group.category},{len(group.chromosomes)},{members}")
     return EXIT_OK
@@ -240,14 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--range", type=float, default=None)
-    common.add_argument("--crossover-rate", dest="crossover_rate", type=float, default=None)
-    common.add_argument("--mutation-rate", dest="mutation_rate", type=float, default=None)
-    common.add_argument("--population-size", dest="population_size", type=int, default=None)
-    common.add_argument("--removal-fraction", dest="removal_fraction", type=float, default=None)
-    common.add_argument("--max-generations", dest="max_generations", type=int, default=None)
-    common.add_argument("--mutation-sigma", dest="mutation_sigma", type=float, default=None)
-    common.add_argument("--seed", type=int, default=None)
+    for f in _GA_FIELDS:
+        flag = "--" + f.name.replace("_", "-")
+        common.add_argument(flag, dest=f.name, type=_GA_TYPES[f.name], default=None)
     common.add_argument("--workers", type=int, default=None)
     common.add_argument("--strict", dest="strict", action="store_true", default=None)
     common.add_argument("--lenient", dest="strict", action="store_false", default=None)

@@ -37,7 +37,8 @@ _MAX_SEED = 2**64
 
 @dataclass
 class GaParams:
-    """Search knobs. Defaults: merge range 0.125, crossover 0.15, mutation 0.35."""
+    """Search knobs. The CLI's flags, config keys and built-in defaults are
+    these fields."""
 
     range: float = 0.125
     crossover_rate: float = 0.15
@@ -145,10 +146,11 @@ def detect(
         rng = make_rng(params.seed)
     x = model.normalization.transform(record.features)
     genes = initialize_population(x, params, rng)
-    flat = model.flatten()
     generations = 0
     while True:
-        fitness, nearest = kernels.batch_fitness(genes, flat.centroids, flat.sq_norms, flat.denoms)
+        fitness, nearest = kernels.batch_fitness(
+            genes, model.centroids, model.sq_norms, model.denoms
+        )
         generations += 1
         if genes.shape[0] == 1 or generations >= params.max_generations:
             break
@@ -157,10 +159,10 @@ def detect(
         mutate(genes, params.mutation_rate, params.mutation_sigma, rng)
 
     best = int(np.argmin(fitness))
-    label = flat.labels[nearest[best]]
+    label = model.labels[nearest[best]]
     return Prediction(
         attack_name=label,
-        category=flat.category_of[label],
+        category=model.category_of[label],
         survivor_fitness=float(fitness[best]),
         generations_run=generations,
     )
@@ -202,7 +204,6 @@ def run_batch(
         return []
     if workers <= 1:
         return _detect_range(records.features, model, params, 0, len(records))
-    model.flatten()
     chunk = max(1, math.ceil(len(records) / (workers * 4)))
     bounds = [
         (start, min(start + chunk, len(records)))

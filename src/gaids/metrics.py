@@ -133,7 +133,7 @@ def format_table_report(matrix: ConfusionMatrix) -> str:
     b = collapse_to_binary(matrix)
     c = matrix.counts
 
-    width = max(9, max(len(str(v)) for v in c.flatten()) + 2, max(len(x) for x in CATEGORIES) + 2)
+    width = max(9, len(str(c.max())) + 2, max(len(x) for x in CATEGORIES) + 2)
     label_w = max(len("precision%"), max(len(x) for x in CATEGORIES)) + 2
 
     def pct(value, defined):

@@ -1,11 +1,13 @@
-"""Labeled chromosome groups built by proximity merging over training data.
+"""Labeled chromosomes built by proximity merging over training data.
 
 A chromosome is a merged prototype: a running-mean centroid, its member
 count, and a running standard deviation of member-to-centroid distances
 (the distance each member had to the centroid at the moment it merged).
 Training walks the records once: a record merges into the nearest
 chromosome of its own label group when that chromosome lies within the
-merge range, otherwise it seeds a new chromosome.
+merge range, otherwise it seeds a new chromosome. The trained model holds
+all chromosomes as one set of columns, one row each, in the order the
+fitness kernel scans them.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import (
-    EmptyDataset,
-    EmptyModel,
-    ModelFormatError,
-    ModelVersionMismatch,
-)
+from .errors import EmptyDataset, EmptyModel, ModelFormatError, ModelVersionMismatch
 from .ingest import BLOCK_ROWS, CATEGORIES, NUM_FEATURES, Dataset, NormalizationStats
 
 MODEL_FORMAT_TAG = "gaids-model"
@@ -34,11 +31,11 @@ SPREAD_EPSILON = 1e-6
 
 @dataclass
 class Chromosome:
-    """A merged prototype: centroid, member count, spread."""
+    """One row of a model, as `ChromosomeModel.groups` shows it."""
 
     centroid: np.ndarray
-    member_count: int = 1
-    spread: float = 0.0
+    member_count: int
+    spread: float
 
 
 @dataclass
@@ -50,56 +47,59 @@ class ChromosomeGroup:
     chromosomes: list[Chromosome]
 
 
-@dataclass
-class _FlatModel:
-    """Scan-ready view: chromosomes ordered by (label, insertion order),
-    with the per-chromosome terms of the fitness kernel computed once."""
-
-    centroids: np.ndarray
-    sq_norms: np.ndarray  # (centroids**2).sum(axis=1)
-    denoms: np.ndarray  # spread + SPREAD_EPSILON
-    labels: list[str]
-    category_of: dict[str, str]
-
-
-@dataclass
+@dataclass(eq=False)
 class ChromosomeModel:
-    """The trained artifact: groups plus the normalization fitted with them."""
+    """The trained artifact: one row per chromosome, held as the columns the
+    fitness kernel scans, plus the normalization fitted with them.
 
-    groups: list[ChromosomeGroup]
+    The constructor takes rows in any label order and stores them stably
+    sorted by label. That is the scan order, so the kernel's lowest-index
+    tie rule prefers the alphabetically first label. `category_of` keeps
+    the labels in first-sight order, which is the order of the model file.
+    The kernel's per-row terms are computed once here, and every array is
+    read-only. A model without rows raises EmptyModel.
+    """
+
+    centroids: np.ndarray  # (K, n), C-contiguous
+    member_counts: np.ndarray  # (K,)
+    spreads: np.ndarray  # (K,)
+    labels: list[str]  # attack label of each row
+    category_of: dict[str, str]  # label -> category, first-sight order
     normalization: NormalizationStats
     range_used: float
     training_size: int
-    _flat: _FlatModel | None = field(default=None, repr=False, compare=False)
+    sq_norms: np.ndarray = field(init=False)  # (centroids**2).sum(axis=1)
+    denoms: np.ndarray = field(init=False)  # spreads + SPREAD_EPSILON
+
+    def __post_init__(self):
+        if not len(self.labels):
+            raise EmptyModel("model holds no chromosomes")
+        order = sorted(range(len(self.labels)), key=self.labels.__getitem__)
+        self.labels = [self.labels[i] for i in order]
+        self.centroids = np.asarray(self.centroids, dtype=np.float64)[order]
+        self.member_counts = np.asarray(self.member_counts, dtype=np.int64)[order]
+        self.spreads = np.asarray(self.spreads, dtype=np.float64)[order]
+        self.sq_norms = (self.centroids * self.centroids).sum(axis=1)
+        self.denoms = self.spreads + SPREAD_EPSILON
+        for col in (self.centroids, self.member_counts, self.spreads, self.sq_norms, self.denoms):
+            col.flags.writeable = False
 
     def num_chromosomes(self) -> int:
-        return sum(len(g.chromosomes) for g in self.groups)
+        return len(self.labels)
 
-    def flatten(self) -> _FlatModel:
-        """Build (and cache) the flattened scan view. The model must not be
-        mutated afterwards."""
-        if self._flat is None:
-            groups = sorted(self.groups, key=lambda g: g.label)
-            chroms = [c for g in groups for c in g.chromosomes]
-            if not chroms:
-                raise EmptyModel("model holds no chromosomes")
-            centroids = np.ascontiguousarray(
-                np.stack([c.centroid for c in chroms]), dtype=np.float64
-            )
-            spreads = np.array([c.spread for c in chroms], dtype=np.float64)
-            self._flat = _FlatModel(
-                centroids=centroids,
-                sq_norms=(centroids * centroids).sum(axis=1),
-                denoms=spreads + SPREAD_EPSILON,
-                labels=[g.label for g in groups for _ in g.chromosomes],
-                category_of={g.label: g.category for g in groups},
-            )
-        return self._flat
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_flat"] = None
-        return state
+    @property
+    def groups(self) -> list[ChromosomeGroup]:
+        """The rows by label, groups in file order; each centroid is a view
+        of a row of `centroids`."""
+        rows: dict[str, list[Chromosome]] = {label: [] for label in self.category_of}
+        for label, centroid, count, spread in zip(
+            self.labels, self.centroids, self.member_counts, self.spreads
+        ):
+            rows[label].append(Chromosome(centroid, int(count), float(spread)))
+        return [
+            ChromosomeGroup(label, category, rows[label])
+            for label, category in self.category_of.items()
+        ]
 
 
 class _GroupBuilder:
@@ -140,17 +140,6 @@ class _GroupBuilder:
         self.means[idx] += delta / n
         self.m2s[idx] += delta * (d - self.means[idx])
 
-    def freeze(self) -> ChromosomeGroup:
-        chroms = [
-            Chromosome(
-                centroid=self.centroids[i].copy(),
-                member_count=self.counts[i],
-                spread=math.sqrt(self.m2s[i] / self.counts[i]),
-            )
-            for i in range(self.size)
-        ]
-        return ChromosomeGroup(label=self.label, category=self.category, chromosomes=chroms)
-
 
 def precalculate(
     training: Dataset,
@@ -159,14 +148,14 @@ def precalculate(
 ) -> ChromosomeModel:
     """Single training pass: merge each normalized record into the nearest
     chromosome of its own label group when within merge_range, else seed a
-    new chromosome. Groups appear in first-sight label order; the pass is
+    new chromosome. Labels keep their first-sight order; the pass is
     order-dependent and bit-reproducible for a fixed input order.
     Normalization runs on BLOCK_ROWS rows at a time.
     """
     if not len(training):
         raise EmptyDataset("cannot precalculate on an empty dataset")
-    if merge_range < 0:
-        raise ValueError("merge range must be non-negative")
+    if not 0.0 <= merge_range < math.inf:
+        raise ValueError("merge range must be a finite non-negative number")
     if None in training.attack_names:
         raise ValueError("training records must be labeled")
 
@@ -188,8 +177,13 @@ def precalculate(
             else:
                 builder.add(x)
 
+    done = builders.values()
     return ChromosomeModel(
-        groups=[builder.freeze() for builder in builders.values()],
+        centroids=np.concatenate([b.view() for b in done]),
+        member_counts=[n for b in done for n in b.counts],
+        spreads=[math.sqrt(m2 / n) for b in done for m2, n in zip(b.m2s, b.counts)],
+        labels=[b.label for b in done for _ in range(b.size)],
+        category_of={b.label: b.category for b in done},
         normalization=stats,
         range_used=merge_range,
         training_size=len(training),
@@ -201,27 +195,18 @@ def _fmt(v: float) -> str:
 
 
 def save_model(model: ChromosomeModel, path) -> None:
-    """Versioned line-oriented text: header, one line per chromosome, then
-    the normalization min and max rows."""
+    """Versioned line-oriented text: header, one line per chromosome (labels
+    in first-sight order, each label's rows in the order they were made),
+    then the normalization min and max rows."""
+    num_features = model.normalization.feat_min.shape[0]
     lines = [
-        " ".join(
-            [
-                MODEL_FORMAT_TAG,
-                MODEL_FORMAT_VERSION,
-                _fmt(model.range_used),
-                str(model.training_size),
-                str(model.normalization.feat_min.shape[0]),
-            ]
-        )
+        f"{MODEL_FORMAT_TAG} {MODEL_FORMAT_VERSION} {_fmt(model.range_used)} "
+        f"{model.training_size} {num_features}"
     ]
     for group in model.groups:
         for c in group.chromosomes:
-            lines.append(
-                " ".join(
-                    [group.label, group.category, str(c.member_count), _fmt(c.spread)]
-                    + [_fmt(v) for v in c.centroid]
-                )
-            )
+            head = [group.label, group.category, str(c.member_count), _fmt(c.spread)]
+            lines.append(" ".join(head + [_fmt(v) for v in c.centroid]))
     lines.append(" ".join(_fmt(v) for v in model.normalization.feat_min))
     lines.append(" ".join(_fmt(v) for v in model.normalization.feat_max))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -229,11 +214,13 @@ def save_model(model: ChromosomeModel, path) -> None:
 
 
 def load_model(path) -> ChromosomeModel:
-    """Read a model file; rejects unknown format tags/versions and rows a
-    trained model cannot hold (unknown category, one label under two
-    categories, member count below 1, negative or non-finite spread,
-    non-finite value, centroid value outside [0,1], a feature minimum above
-    its maximum, a feature count other than NUM_FEATURES, non-ASCII bytes)."""
+    """Read a model file; rejects unknown format tags/versions and values a
+    trained model cannot hold (a merge range that is not finite and
+    non-negative, unknown category, one label under two categories, member
+    count below 1, negative or non-finite spread, non-finite value,
+    centroid value outside [0,1], a feature minimum above its maximum, a
+    feature count other than NUM_FEATURES, non-ASCII bytes, no chromosome
+    rows)."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -252,6 +239,8 @@ def load_model(path) -> ChromosomeModel:
         num_features = int(header[4])
     except ValueError as exc:
         raise ModelFormatError(f"bad header: {exc}") from None
+    if not 0.0 <= range_used < math.inf:
+        raise ModelFormatError(f"merge range {range_used!r} is not finite and non-negative")
     if num_features != NUM_FEATURES:
         raise ModelFormatError(
             f"model has {num_features} features per row, records have {NUM_FEATURES}"
@@ -290,9 +279,10 @@ def load_model(path) -> ChromosomeModel:
     # of a large model at once costs more memory than the model itself.
     body = lines[1:-2]
     centroids = np.empty((len(body), num_features), dtype=np.float64)
-    groups: dict[str, ChromosomeGroup] = {}
-    order: list[str] = []
-    member_total = 0
+    labels: list[str] = []
+    counts: list[int] = []
+    spreads: list[float] = []
+    category_of: dict[str, str] = {}
     for row, ln in enumerate(body):
         tokens = ln.split()
         if len(tokens) != 4 + num_features:
@@ -311,28 +301,26 @@ def load_model(path) -> ChromosomeModel:
             raise ModelFormatError(f"member count {count} is below 1")
         if not 0.0 <= spread < math.inf:
             raise ModelFormatError(f"spread {spread!r} is not a finite non-negative number")
-        group = groups.get(label)
-        if group is None:
-            group = ChromosomeGroup(label=label, category=category, chromosomes=[])
-            groups[label] = group
-            order.append(label)
-        elif group.category != category:
+        if category_of.setdefault(label, category) != category:
             raise ModelFormatError(
-                f"label {label!r} is listed under {group.category!r} and {category!r}"
+                f"label {label!r} is listed under {category_of[label]!r} and {category!r}"
             )
         centroids[row] = parse_values(tokens[4:])
-        group.chromosomes.append(
-            Chromosome(centroid=centroids[row], member_count=count, spread=spread)
-        )
-        member_total += count
+        labels.append(label)
+        counts.append(count)
+        spreads.append(spread)
     check_values(centroids, 0.0, 1.0)
 
-    if member_total != training_size:
+    if sum(counts) != training_size:
         raise ModelFormatError(
-            f"member counts sum to {member_total}, header says {training_size}"
+            f"member counts sum to {sum(counts)}, header says {training_size}"
         )
     return ChromosomeModel(
-        groups=[groups[label] for label in order],
+        centroids=centroids,
+        member_counts=counts,
+        spreads=spreads,
+        labels=labels,
+        category_of=category_of,
         normalization=NormalizationStats(feat_min=feat_min, feat_max=feat_max),
         range_used=range_used,
         training_size=training_size,

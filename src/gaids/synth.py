@@ -33,8 +33,8 @@ def make_centers(clusters: int, separation: float, num_features: int = NUM_FEATU
     """
     if clusters < 1:
         raise ValueError("cluster count must be >= 1")
-    if separation < 0:
-        raise ValueError("separation must be non-negative")
+    if not 0.0 <= separation < math.inf:
+        raise ValueError("separation must be a finite non-negative number")
     if clusters == 1 or separation == 0:
         return np.full((clusters, num_features), 0.5)
     dims_per = np.array([
@@ -83,8 +83,8 @@ def generate_lines(
     """Labeled sample lines, points grouped by cluster in order."""
     if points_per_cluster < 1:
         raise ValueError("points per cluster must be >= 1")
-    if noise_sigma < 0:
-        raise ValueError("noise sigma must be non-negative")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError("noise sigma must be a finite non-negative number")
     if labels is None:
         labels = DEFAULT_LABELS
     if clusters > len(labels):

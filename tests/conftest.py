@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaids.ingest import ATTACK_CATEGORIES, NUM_FEATURES, ConnectionRecord, Dataset, NormalizationStats
-from gaids.model import Chromosome, ChromosomeGroup, ChromosomeModel
+from gaids.model import ChromosomeModel
 
 # Verbatim lines from the 10% KDD99 training file (42 fields, trailing-period
 # label; duration first, then the three symbolic fields).
@@ -38,32 +38,22 @@ def dataset(records):
 
 
 def build_model(centroids, labels, spreads=None, counts=None, stats=None):
-    """ChromosomeModel straight from arrays, bypassing precalculation."""
+    """ChromosomeModel straight from arrays (rows in file order), bypassing
+    precalculation."""
     centroids = np.asarray(centroids, dtype=np.float64)
     if spreads is None:
-        spreads = [0.0] * len(centroids)
+        spreads = np.zeros(len(centroids))
     if counts is None:
-        counts = [1] * len(centroids)
-    groups = {}
-    order = []
-    for cen, label, spread, count in zip(centroids, labels, spreads, counts):
-        if label not in groups:
-            groups[label] = ChromosomeGroup(
-                label=label, category=ATTACK_CATEGORIES[label], chromosomes=[]
-            )
-            order.append(label)
-        groups[label].chromosomes.append(
-            Chromosome(
-                centroid=np.array(cen, dtype=np.float64),
-                member_count=count,
-                spread=float(spread),
-            )
-        )
+        counts = np.ones(len(centroids), dtype=np.int64)
     return ChromosomeModel(
-        groups=[groups[lb] for lb in order],
+        centroids=centroids,
+        member_counts=counts,
+        spreads=spreads,
+        labels=list(labels),
+        category_of={label: ATTACK_CATEGORIES[label] for label in labels},
         normalization=stats or NormalizationStats.identity(centroids.shape[1]),
         range_used=0.125,
-        training_size=sum(counts),
+        training_size=int(np.sum(counts)),
     )
 
 

@@ -46,19 +46,44 @@ def test_inprocess_job_passes_the_trace_checks(job, caplog):  # caplog keeps war
     assert len(serial) == len(data.test_lines)
 
 
-def test_patched_kernels_see_every_call(job, caplog):
-    # The traced run replaces the kernels in their module; training and
-    # detection must call them through it for the kernel metrics to exist.
-    data, files, api = job
+def traced_job(files, api):
+    """The in-process job and serial detect pass with the kernels wrapped,
+    as `--trace 1` runs them."""
     tracer = Tracer()
     for span_name, (dotted, rows_arg) in run.KERNELS.items():
         tracer.patch(span_name, dotted, rows_arg)
     try:
         state: dict = {}
         run.inprocess_job(api, WORKLOAD, files, tracer, state)
-        run.serial_detect(api, state, tracer)
+        serial = run.serial_detect(api, state, tracer)
     finally:
         tracer.unpatch()
+    return state, serial, tracer
+
+
+def test_patched_kernels_see_every_call(job, caplog):
+    # The traced run replaces the kernels in their module; training and
+    # detection must call them through it for the kernel metrics to exist.
+    data, files, api = job
+    _, _, tracer = traced_job(files, api)
     assert tracer.missing == []
     assert tracer.named("kernels.nearest_centroid", "model.precalculate")
     assert tracer.named("kernels.batch_fitness", "engine.detect")
+
+
+def test_model_layer_metrics_match_the_model(job, caplog):
+    # These metrics read the model through `groups`; `layer_metrics` turns an
+    # attribute or type error there into a silent None.
+    data, files, api = job
+    state, serial, tracer = traced_job(files, api)
+    m = run.layer_metrics(WORKLOAD, files, state, serial, tracer, state["wall_s"])
+    trained, loaded = state["trained"], state["loaded"]
+    k = trained.num_chromosomes()
+    assert m["model.chromosomes"] == k == loaded.num_chromosomes()
+    assert m["model.groups"] == len(trained.category_of)
+    assert m["model.singletons"] == int((trained.member_counts == 1).sum())
+    assert m["model.merge_ratio"] == (data.train_records - k) / data.train_records
+    pairs = m["kernels.batch_fitness.pairs_per_s"]
+    assert pairs is not None
+    rows, seconds = m["kernels.batch_fitness.rows"], m["kernels.batch_fitness.s"]
+    assert pairs == pytest.approx(rows * k / seconds)

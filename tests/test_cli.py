@@ -53,6 +53,19 @@ class TestSynthCommand:
         assert code == EXIT_CONFIG
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--separation", "nan"), ("--separation", "inf"), ("--noise-sigma", "nan"),
+         ("--noise-sigma", "inf")],
+    )
+    def test_non_finite_params_exit_config(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.kdd"
+        code, stdout, err = run_cli(capsys, "synth", flag, value, "--output", str(out))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith("error: ") and "finite non-negative" in err
+        assert not out.exists()
+
     def test_zero_separation_centers_coincide(self):
         centers = synth.make_centers(2, 0.0)
         assert np.array_equal(centers[0], centers[1])
@@ -215,6 +228,20 @@ class TestDetectCommand:
 
 
     @pytest.mark.parametrize("command", ["detect", "evaluate"])
+    def test_model_without_chromosomes_exit_model(self, tmp_path, capsys, command):
+        # Exit 4 even when there is nothing to detect.
+        empty_model = tmp_path / "empty.model"
+        empty_model.write_text("gaids-model 1 0.125 0 38\n" + "0.0 " * 37 + "0.0\n" + "1.0 " * 37 + "1.0\n")
+        empty_test = tmp_path / "empty.kdd"
+        empty_test.write_text("")
+        code, out, err = run_cli(
+            capsys, command, "--model", str(empty_model), "--test-file", str(empty_test)
+        )
+        assert code == EXIT_MODEL
+        assert out == ""
+        assert err == "error: model holds no chromosomes\n"
+
+    @pytest.mark.parametrize("command", ["detect", "evaluate"])
     def test_model_feature_count_exit_model(self, workspace, capsys, command):
         # A self-consistent model over 3 features: records have 38.
         tmp, _, test = workspace
@@ -297,6 +324,9 @@ class TestEvaluateCommand:
             (2, 0, b"normal", "listed under"),
             (1, 4, b"1.5", "[0,1]"),
             (3, 7, b"-0.25", "[0,1]"),
+            (0, 2, b"nan", "merge range"),
+            (0, 2, b"inf", "merge range"),
+            (0, 2, b"-1.0", "merge range"),
         ],
     )
     def test_corrupt_model_exit_model(self, workspace, capsys, row, col, value, message):

@@ -19,7 +19,7 @@ from gaids.engine import (
 )
 from gaids.errors import EmptyModel
 from gaids.ingest import NUM_FEATURES
-from gaids.model import SPREAD_EPSILON
+from gaids.model import SPREAD_EPSILON, load_model
 
 from conftest import build_model, dataset, random_model, record
 
@@ -149,11 +149,13 @@ class TestFitness:
             f2, _ = score(g2, m)
             assert f2 >= f1
 
-    def test_empty_model(self):
-        m = build_model(np.zeros((1, NUM_FEATURES)), ["normal"])
-        m.groups[0].chromosomes.clear()
-        with pytest.raises(EmptyModel):
-            score(np.zeros(NUM_FEATURES), m)
+    def test_empty_model(self, tmp_path):
+        # A model cannot exist without rows, so no search ever scans none:
+        # loading a model file without chromosome rows fails.
+        path = tmp_path / "empty.model"
+        path.write_text("gaids-model 1 0.125 0 38\n" + "0.0 " * 37 + "0.0\n" + "1.0 " * 37 + "1.0\n")
+        with pytest.raises(EmptyModel, match="no chromosomes"):
+            load_model(path)
 
 
 class TestSelect:
@@ -334,7 +336,7 @@ class TestDetect:
         # stable ascending order by fitness. Fitness is coarsened so that
         # ties are common and the tie rule is exercised.
         rng = make_rng(seed)
-        flat = random_model(rng, 8).flatten()
+        m = random_model(rng, 8)
         params = GaParams(
             population_size=population_size,
             crossover_rate=crossover_rate,
@@ -345,7 +347,7 @@ class TestDetect:
         assert genes.shape == (population_size, NUM_FEATURES)
         assert in_unit_cube(genes)
         while len(genes) > 1:
-            fitness, _ = kernels.batch_fitness(genes, flat.centroids, flat.sq_norms, flat.denoms)
+            fitness, _ = kernels.batch_fitness(genes, m.centroids, m.sq_norms, m.denoms)
             fitness = np.floor(4.0 * fitness)
             survivors = select(genes, fitness, params.removal_fraction)
             order = sorted(range(len(genes)), key=lambda i: fitness[i])

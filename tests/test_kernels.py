@@ -40,9 +40,9 @@ def assert_matches_loop(genes, centroids, spreads=None):
     if spreads is None:
         spreads = np.zeros(centroids.shape[0])
     spreads = np.asarray(spreads, dtype=np.float64)
-    flat = build_model(centroids, ["normal"] * len(centroids), spreads=spreads).flatten()
+    m = build_model(centroids, ["normal"] * len(centroids), spreads=spreads)
     genes = np.ascontiguousarray(genes, dtype=np.float64)
-    values, idx = kernels.batch_fitness(genes, flat.centroids, flat.sq_norms, flat.denoms)
+    values, idx = kernels.batch_fitness(genes, m.centroids, m.sq_norms, m.denoms)
     expected_values, expected_idx = loop_fitness(genes, centroids, spreads, SPREAD_EPSILON)
     assert np.array_equal(values, expected_values)
     assert np.array_equal(idx, expected_idx)
@@ -97,17 +97,16 @@ def test_scan_distance_equals_scalar_distance(rng):
 )
 def test_batch_fitness_matches_bruteforce(rng, population, chromosomes, features):
     model = random_model(rng, chromosomes, num_features=features)
-    flat = model.flatten()
     genes = rng.random((population, features))
-    genes[0] = flat.centroids[-1]  # exact centroid hit
+    genes[0] = model.centroids[-1]  # exact centroid hit
     values, idx = kernels.batch_fitness(
-        genes, flat.centroids, flat.sq_norms, flat.denoms
+        genes, model.centroids, model.sq_norms, model.denoms
     )
     assert values[0] == 0.0
     for g, value, k in zip(genes, values, idx):
         expected_value, expected_label = bruteforce_fitness(g, model)
         assert value == pytest.approx(expected_value, rel=1e-12, abs=1e-15)
-        assert flat.labels[k] == expected_label
+        assert model.labels[k] == expected_label
 
 
 class TestScreenAndVerify:

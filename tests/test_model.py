@@ -1,10 +1,14 @@
 import math
-import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaids import kernels
+from gaids.engine import GaParams, detect, run_batch
 from gaids.errors import (
     EmptyDataset,
     EmptyModel,
@@ -23,13 +27,13 @@ def distance(a, b):
 
 
 def nearest(x, model):
-    """(index into the flattened model, distance) of x's nearest chromosome."""
-    return kernels.nearest_centroid(x, model.flatten().centroids)
+    """(row index in the model, distance) of x's nearest chromosome."""
+    return kernels.nearest_centroid(x, model.centroids)
 
 
 def bruteforce_nearest(x, model):
-    """Exhaustive linear scan over the chromosomes in flattened order (by
-    group label, then insertion order), plain python, first index wins."""
+    """Exhaustive linear scan over the chromosomes in scan order (by group
+    label, then insertion order), plain python, first index wins."""
     best = None
     chroms = [c for g in sorted(model.groups, key=lambda g: g.label) for c in g.chromosomes]
     for i, chrom in enumerate(chroms):
@@ -199,6 +203,11 @@ class TestPrecalculate:
         with pytest.raises(EmptyDataset):
             precalculate(dataset([]), 0.125, NormalizationStats.identity())
 
+    @pytest.mark.parametrize("merge_range", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_range(self, merge_range):
+        with pytest.raises(ValueError, match="finite non-negative"):
+            precalculate(dataset([record({})]), merge_range, NormalizationStats.identity())
+
     def test_zero_range_merges_exact_duplicates_only(self, rng):
         x = rng.random(NUM_FEATURES)
         recs = [record(x), record(x), record(rng.random(NUM_FEATURES))]
@@ -220,7 +229,7 @@ class TestNearestChromosome:
         target = m.groups[0].chromosomes[0]
         idx, d = nearest(target.centroid.copy(), m)
         assert d == 0.0
-        assert np.array_equal(m.flatten().centroids[idx], target.centroid)
+        assert np.array_equal(m.centroids[idx], target.centroid)
 
     def test_matches_bruteforce_scan(self, rng):
         m = random_model(rng, 10)
@@ -241,13 +250,12 @@ class TestNearestChromosome:
         # group creation order.
         m = build_model([a, b], ["smurf", "back"])
         idx, _ = nearest(x, m)
-        assert m.flatten().labels[idx] == "back"
+        assert m.labels[idx] == "back"
 
     def test_empty_model(self):
-        m = build_model(np.zeros((1, NUM_FEATURES)), ["normal"])
-        m.groups[0].chromosomes.clear()
+        # A model cannot exist without rows, so no scan ever sees none.
         with pytest.raises(EmptyModel):
-            nearest(np.zeros(NUM_FEATURES), m)
+            build_model(np.empty((0, NUM_FEATURES)), [])
 
     def test_dimension_mismatch(self, rng, tmp_path):
         # Records always have NUM_FEATURES features, so a model's feature
@@ -258,28 +266,102 @@ class TestNearestChromosome:
             load_model(path)
 
 
-class TestFlatten:
-    def test_cached_kernel_terms(self, rng):
-        m = random_model(rng, 12)
-        flat = m.flatten()
-        assert m.flatten() is flat
-        groups = sorted(m.groups, key=lambda g: g.label)
-        spreads = np.array([c.spread for g in groups for c in g.chromosomes])
-        assert np.array_equal(flat.sq_norms, (flat.centroids**2).sum(axis=1))
-        assert np.array_equal(flat.denoms, spreads + SPREAD_EPSILON)
-        assert flat.category_of == {g.label: g.category for g in m.groups}
+class TestColumns:
+    def test_kernel_terms(self, rng):
+        labels = ["smurf", "back", "smurf", "normal", "back"]
+        centroids = rng.random((5, NUM_FEATURES))
+        spreads = rng.random(5) * 0.2
+        counts = np.array([3, 1, 2, 5, 4])
+        m = build_model(centroids, labels, spreads=spreads, counts=counts)
+        # Rows stably sorted by label: the scan order.
+        order = [1, 4, 3, 0, 2]
+        assert m.labels == [labels[i] for i in order]
+        assert np.array_equal(m.centroids, centroids[order])
+        assert m.centroids.flags.c_contiguous
+        assert np.array_equal(m.member_counts, counts[order])
+        assert np.array_equal(m.spreads, spreads[order])
+        assert np.array_equal(m.sq_norms, (m.centroids**2).sum(axis=1))
+        assert np.array_equal(m.denoms, m.spreads + SPREAD_EPSILON)
+        assert list(m.category_of.items()) == [
+            ("smurf", "dos"), ("back", "dos"), ("normal", "normal")
+        ]
+        assert m.num_chromosomes() == 5
 
-    def test_pickle_drops_cache(self, rng):
-        # Pool workers receive the model pickled and rebuild the view.
-        m = random_model(rng, 12)
-        flat = m.flatten()
-        copy = pickle.loads(pickle.dumps(m))
-        assert copy._flat is None
-        rebuilt = copy.flatten()
-        assert rebuilt.labels == flat.labels
-        assert rebuilt.category_of == flat.category_of
-        for name in ("centroids", "sq_norms", "denoms"):
-            assert np.array_equal(getattr(rebuilt, name), getattr(flat, name))
+    def test_groups_view_in_file_order(self, rng):
+        labels = ["smurf", "back", "smurf"]
+        centroids = rng.random((3, NUM_FEATURES))
+        m = build_model(centroids, labels, spreads=[0.1, 0.2, 0.3], counts=[4, 5, 6])
+        view = [
+            (g.label, g.category, [(c.member_count, c.spread) for c in g.chromosomes])
+            for g in m.groups
+        ]
+        assert view == [("smurf", "dos", [(4, 0.1), (6, 0.3)]), ("back", "dos", [(5, 0.2)])]
+        assert np.array_equal(m.groups[0].chromosomes[1].centroid, centroids[2])
+
+    def test_columns_are_read_only(self, rng):
+        m = random_model(rng, 4)
+        with pytest.raises(ValueError):
+            m.groups[0].chromosomes[0].centroid[0] = 0.5
+        with pytest.raises(ValueError):
+            m.spreads[0] = 1.0
+
+
+LABEL_POOL = ["back", "ipsweep", "neptune", "normal", "smurf"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.lists(
+        st.tuples(st.sampled_from(LABEL_POOL), st.integers(0, 2), st.integers(1, 5)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_roundtrip_random_models(seed, rows):
+    # The first label sorts after every other one, so first-sight (file)
+    # order differs from scan order. Rows draw their centroid and spread
+    # from three prototypes, so the same row often appears under several
+    # labels and its score ties.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    protos = rng.random((3, NUM_FEATURES))
+    proto_spreads = rng.random(3) * 0.1
+    rows = [("warezmaster", 0, 1)] + rows
+    labels = [label for label, _, _ in rows]
+    picks = [p for _, p, _ in rows]
+    stats = NormalizationStats(rng.random(NUM_FEATURES), 1.0 + rng.random(NUM_FEATURES))
+    m = build_model(
+        protos[picks], labels, spreads=proto_spreads[picks],
+        counts=[n for _, _, n in rows], stats=stats,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        p1, p2 = Path(tmp) / "a.model", Path(tmp) / "b.model"
+        save_model(m, p1)
+        loaded = load_model(p1)
+        save_model(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    assert loaded.labels == m.labels
+    assert list(loaded.category_of.items()) == list(m.category_of.items())
+    for name in ("centroids", "member_counts", "spreads", "sq_norms", "denoms"):
+        assert np.array_equal(getattr(loaded, name), getattr(m, name))
+    assert (loaded.range_used, loaded.training_size) == (m.range_used, m.training_size)
+    assert np.array_equal(loaded.normalization.feat_min, stats.feat_min)
+    assert np.array_equal(loaded.normalization.feat_max, stats.feat_max)
+
+    # Each prototype, denormalized, lands (up to rounding) on every row it
+    # fills, and those rows tie exactly: a one-member search must pick the
+    # alphabetically first of their labels.
+    queries = stats.feat_min + protos * (stats.feat_max - stats.feat_min)
+    degenerate = GaParams(population_size=1, mutation_rate=0.0, crossover_rate=0.0)
+    for params in (degenerate, GaParams(seed=seed)):
+        for i, q in enumerate(queries):
+            rec = record(q)
+            expected = detect(rec, m, params)
+            assert detect(rec, loaded, params) == expected
+            if params is degenerate and i in picks:
+                tied = [label for label, p in zip(labels, picks) if p == i]
+                assert expected.attack_name == min(tied)
 
 
 class TestPersistence:
@@ -307,14 +389,12 @@ class TestPersistence:
             x = rng.random(NUM_FEATURES)
             (i1, d1), (i2, d2) = nearest(x, m), nearest(x, loaded)
             assert d1 == d2
-            assert np.array_equal(m.flatten().centroids[i1], loaded.flatten().centroids[i2])
-            assert m.flatten().denoms[i1] == loaded.flatten().denoms[i2]
+            assert np.array_equal(m.centroids[i1], loaded.centroids[i2])
+            assert m.denoms[i1] == loaded.denoms[i2]
 
     def test_saved_model_evaluates_identically(self, tmp_path, rng):
         # Persistence must be lossless for classification: detections through
         # the reloaded model match the in-memory ones bit for bit.
-        from gaids.engine import GaParams, run_batch
-
         recs = [
             record(rng.random(NUM_FEATURES), ["normal", "smurf", "nmap"][i % 3])
             for i in range(90)
