@@ -1,7 +1,9 @@
 """Command-line entry point: train, detect, evaluate, synth.
 
-Option precedence is CLI flag > config file > built-in default. The config
-file is flat key=value text with keys matching the long flag names.
+train, detect and evaluate share one set of flags. Option precedence is
+CLI flag > config file > built-in default. The config file is flat
+key=value text with keys matching the long flag names. synth takes only
+its own flags and --seed.
 
 Exit codes: 0 success, 2 config/usage error or a file that cannot be
 read or written (OSError), 3 data parse error, 4 model error.
@@ -103,10 +105,10 @@ def load_config_file(path: str) -> dict:
 
 def _merged(args: argparse.Namespace) -> dict:
     values = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         values.update(load_config_file(args.config))
     for dest in DEFAULTS:
-        cli_value = getattr(args, dest, None)
+        cli_value = getattr(args, dest)
         if cli_value is not None:
             values[dest] = cli_value
     return values
@@ -198,14 +200,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    values = _merged(args)
     try:
         lines = synth.generate_lines(
             clusters=args.clusters,
             points_per_cluster=args.points_per_cluster,
             separation=args.separation,
             noise_sigma=args.noise_sigma,
-            seed=values["seed"],
+            seed=args.seed,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -247,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", parents=[common], help="full test-set run")
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_synth = sub.add_parser("synth", parents=[common], help="generate synthetic data")
+    p_synth = sub.add_parser("synth", help="generate synthetic data")
+    p_synth.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p_synth.add_argument("--clusters", type=int, default=5)
     p_synth.add_argument("--points-per-cluster", dest="points_per_cluster", type=int, default=100)
     p_synth.add_argument("--separation", type=float, default=0.5)

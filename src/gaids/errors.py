@@ -33,13 +33,5 @@ class ModelVersionMismatch(ModelFormatError):
     """A model file carries an unknown format tag or version."""
 
 
-class NoIntrusions(GaidsError):
-    """Detection rate is undefined: the evaluated data holds no intrusions."""
-
-
-class NoNormals(GaidsError):
-    """False-positive rate is undefined: the evaluated data holds no normals."""
-
-
 class ConfigError(GaidsError):
     """Invalid command-line or config-file input."""

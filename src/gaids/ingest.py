@@ -156,24 +156,30 @@ class NormalizationStats:
     feat_min: np.ndarray
     feat_max: np.ndarray
 
-    @classmethod
-    def identity(cls, n: int = NUM_FEATURES) -> "NormalizationStats":
-        return cls(np.zeros(n), np.ones(n))
+    def invalid_features(self) -> np.ndarray:
+        """Indices of features whose span max - min is negative or overflows;
+        transform would turn their values into NaN."""
+        with np.errstate(over="ignore"):
+            span = self.feat_max - self.feat_min
+        return np.flatnonzero(~((span >= 0) & (span < np.inf)))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         """Map features (a row or a matrix of rows) into [0,1]; degenerate
         features map to 0, outliers clamp."""
         span = self.feat_max - self.feat_min
         safe = np.where(span > 0, span, 1.0)
-        scaled = np.where(span > 0, (x - self.feat_min) / safe, 0.0)
+        # A far outlier overflows to +-inf, which the clip maps to 1 or 0.
+        with np.errstate(over="ignore"):
+            scaled = np.where(span > 0, (x - self.feat_min) / safe, 0.0)
         return np.clip(scaled, 0.0, 1.0)
 
 
 def parse_record(line: str, require_label: bool = True) -> RawRecord:
     """Split one CSV line into 41 feature fields plus the label.
 
-    The label's trailing period is stripped. With require_label=False a
-    41-field (unlabeled) line is also accepted.
+    The label's trailing period is stripped; a model file stores the label
+    as one space-separated ASCII token, so it must be ASCII without
+    whitespace. With require_label=False a 41-field line is also accepted.
     """
     parts = line.rstrip("\r\n").split(",")
     if len(parts) == NUM_RAW_FEATURES and not require_label:
@@ -185,6 +191,8 @@ def parse_record(line: str, require_label: bool = True) -> RawRecord:
     label = raw_label[:-1] if trailing else raw_label
     if not label:
         raise MalformedRecord("empty label field")
+    if not label.isascii() or label.split() != [label]:
+        raise MalformedRecord(f"label {label!r} holds whitespace or non-ASCII characters")
     return RawRecord(fields=parts[:-1], label=label, trailing_period=trailing)
 
 
@@ -289,6 +297,12 @@ def fit_normalization(data: Dataset) -> NormalizationStats:
     """Per-feature min/max over the training records."""
     if not len(data):
         raise EmptyDataset("cannot fit normalization on an empty dataset")
-    return NormalizationStats(
+    stats = NormalizationStats(
         feat_min=data.features.min(axis=0), feat_max=data.features.max(axis=0)
     )
+    bad = stats.invalid_features()
+    if bad.size:
+        raise NonNumericFeature(
+            f"field {_NUMERIC_POSITIONS[bad[0]] + 1}: values span more than the float range"
+        )
+    return stats

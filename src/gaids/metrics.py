@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoIntrusions, NoNormals
 from .ingest import CATEGORIES
 
 _INDEX = {c: i for i, c in enumerate(CATEGORIES)}
@@ -27,18 +26,11 @@ class ConfusionMatrix:
 
     @classmethod
     def from_pairs(cls, pairs) -> "ConfusionMatrix":
+        """Tally (actual, predicted) category pairs."""
         m = cls.empty()
         for actual, predicted in pairs:
-            accumulate(m, actual, predicted)
+            m.counts[_INDEX[actual], _INDEX[predicted]] += 1
         return m
-
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        """Cellwise sum; shard-and-merge is associative and commutative."""
-        self.counts += other.counts
-        return self
-
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass
@@ -47,24 +39,6 @@ class BinaryCounts:
     false_positive: int
     false_negative: int
     true_positive: int
-
-
-@dataclass
-class Metrics:
-    """Rates are None when their denominator is empty; per-class rates report
-    0 with the matching defined-flag cleared instead."""
-
-    detection_rate: float | None
-    false_positive_rate: float | None
-    per_class_recall: np.ndarray
-    per_class_precision: np.ndarray
-    recall_defined: np.ndarray
-    precision_defined: np.ndarray
-
-
-def accumulate(matrix: ConfusionMatrix, actual: str, predicted: str) -> ConfusionMatrix:
-    matrix.counts[_INDEX[actual], _INDEX[predicted]] += 1
-    return matrix
 
 
 def collapse_to_binary(matrix: ConfusionMatrix) -> BinaryCounts:
@@ -76,18 +50,16 @@ def collapse_to_binary(matrix: ConfusionMatrix) -> BinaryCounts:
     return BinaryCounts(true_negative=tn, false_positive=fp, false_negative=fn, true_positive=tp)
 
 
-def detection_rate(b: BinaryCounts) -> float:
+def detection_rate(b: BinaryCounts) -> float | None:
+    """TP / (FN + TP); None when no intrusion was evaluated."""
     denom = b.false_negative + b.true_positive
-    if denom == 0:
-        raise NoIntrusions("no intrusion records evaluated")
-    return b.true_positive / denom
+    return b.true_positive / denom if denom else None
 
 
-def false_positive_rate(b: BinaryCounts) -> float:
+def false_positive_rate(b: BinaryCounts) -> float | None:
+    """FP / (TN + FP); None when no normal record was evaluated."""
     denom = b.true_negative + b.false_positive
-    if denom == 0:
-        raise NoNormals("no normal records evaluated")
-    return b.false_positive / denom
+    return b.false_positive / denom if denom else None
 
 
 def per_class_rates(matrix: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -101,55 +73,37 @@ def per_class_rates(matrix: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
     return recall, precision
 
 
-def compute_metrics(matrix: ConfusionMatrix) -> Metrics:
-    b = collapse_to_binary(matrix)
-    recall, precision = per_class_rates(matrix)
-    try:
-        dr = detection_rate(b)
-    except NoIntrusions:
-        dr = None
-    try:
-        fpr = false_positive_rate(b)
-    except NoNormals:
-        fpr = None
-    return Metrics(
-        detection_rate=dr,
-        false_positive_rate=fpr,
-        per_class_recall=recall,
-        per_class_precision=precision,
-        recall_defined=matrix.counts.sum(axis=1) > 0,
-        precision_defined=matrix.counts.sum(axis=0) > 0,
-    )
-
-
-def _rate_str(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.4f}"
+def _rate_lines(b: BinaryCounts) -> list[str]:
+    """The two rates at 4 decimals; an undefined rate prints as n/a."""
+    rates = {"detection_rate": detection_rate(b), "false_positive_rate": false_positive_rate(b)}
+    return [f"{name}={'n/a' if r is None else format(r, '.4f')}" for name, r in rates.items()]
 
 
 def format_table_report(matrix: ConfusionMatrix) -> str:
     """Human-readable report: class-count grid with recall/precision margins,
     the binary collapse, and the two rates at 4 decimals."""
-    m = compute_metrics(matrix)
     b = collapse_to_binary(matrix)
     c = matrix.counts
+    recall, precision = per_class_rates(matrix)
+    row_sums, col_sums = c.sum(axis=1), c.sum(axis=0)
 
     width = max(9, len(str(c.max())) + 2, max(len(x) for x in CATEGORIES) + 2)
     label_w = max(len("precision%"), max(len(x) for x in CATEGORIES)) + 2
 
-    def pct(value, defined):
-        return f"{100.0 * value:.1f}" if defined else "-"
+    def pct(value, denom):
+        return f"{100.0 * value:.1f}" if denom > 0 else "-"
 
     out = ["Confusion matrix (rows = actual, columns = predicted)", ""]
     header = " " * label_w + "".join(f"{h:>{width}}" for h in CATEGORIES) + f"{'recall%':>{width}}"
     out.append(header)
     for i, name in enumerate(CATEGORIES):
         row = f"{name:<{label_w}}" + "".join(f"{int(v):>{width}}" for v in c[i])
-        row += f"{pct(m.per_class_recall[i], m.recall_defined[i]):>{width}}"
+        row += f"{pct(recall[i], row_sums[i]):>{width}}"
         out.append(row)
     out.append(
         f"{'precision%':<{label_w}}"
         + "".join(
-            f"{pct(m.per_class_precision[i], m.precision_defined[i]):>{width}}"
+            f"{pct(precision[i], col_sums[i]):>{width}}"
             for i in range(len(CATEGORIES))
         )
     )
@@ -160,15 +114,12 @@ def format_table_report(matrix: ConfusionMatrix) -> str:
     out.append(f"{'actual normal':<18}" + f"{b.true_negative:>{bw}}{b.false_positive:>{bw}}")
     out.append(f"{'actual intrusion':<18}" + f"{b.false_negative:>{bw}}{b.true_positive:>{bw}}")
     out.append("")
-    out.append(f"detection_rate={_rate_str(m.detection_rate)}")
-    out.append(f"false_positive_rate={_rate_str(m.false_positive_rate)}")
-    return "\n".join(out)
+    return "\n".join(out + _rate_lines(b))
 
 
 def format_kv_report(matrix: ConfusionMatrix) -> str:
     """Machine-readable report: cell,<actual>,<predicted>,<count> rows plus
     the four binary counts and the two rates."""
-    m = compute_metrics(matrix)
     b = collapse_to_binary(matrix)
     out = []
     for i, actual in enumerate(CATEGORIES):
@@ -178,6 +129,4 @@ def format_kv_report(matrix: ConfusionMatrix) -> str:
     out.append(f"false_positive={b.false_positive}")
     out.append(f"false_negative={b.false_negative}")
     out.append(f"true_positive={b.true_positive}")
-    out.append(f"detection_rate={_rate_str(m.detection_rate)}")
-    out.append(f"false_positive_rate={_rate_str(m.false_positive_rate)}")
-    return "\n".join(out)
+    return "\n".join(out + _rate_lines(b))

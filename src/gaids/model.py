@@ -218,9 +218,9 @@ def load_model(path) -> ChromosomeModel:
     trained model cannot hold (a merge range that is not finite and
     non-negative, unknown category, one label under two categories, member
     count below 1, negative or non-finite spread, non-finite value,
-    centroid value outside [0,1], a feature minimum above its maximum, a
-    feature count other than NUM_FEATURES, non-ASCII bytes, no chromosome
-    rows)."""
+    centroid value outside [0,1], a feature minimum above its maximum or
+    so far below it that the span overflows, a feature count other than
+    NUM_FEATURES, non-ASCII bytes, no chromosome rows)."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -268,10 +268,11 @@ def load_model(path) -> ChromosomeModel:
     feat_min, feat_max = check_values(
         np.array([parse_values(lines[-2].split()), parse_values(lines[-1].split())])
     )
-    inverted = np.flatnonzero(feat_min > feat_max)
-    if inverted.size:
+    normalization = NormalizationStats(feat_min=feat_min, feat_max=feat_max)
+    bad = normalization.invalid_features()
+    if bad.size:
         raise ModelFormatError(
-            f"feature minimum exceeds maximum in column {int(inverted[0])}"
+            f"feature minimum exceeds maximum, or the span overflows, in column {int(bad[0])}"
         )
 
     # Centroid values go into one matrix, checked in one pass after the
@@ -321,7 +322,7 @@ def load_model(path) -> ChromosomeModel:
         spreads=spreads,
         labels=labels,
         category_of=category_of,
-        normalization=NormalizationStats(feat_min=feat_min, feat_max=feat_max),
+        normalization=normalization,
         range_used=range_used,
         training_size=training_size,
     )

@@ -1,5 +1,10 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaids import synth
 from gaids.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, EXIT_PARSE, main
@@ -64,6 +69,18 @@ class TestSynthCommand:
         assert code == EXIT_CONFIG
         assert stdout == ""
         assert err.startswith("error: ") and "finite non-negative" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag", [["--workers", "0"], ["--config", "run.conf"], ["--test-file", "x.kdd"]]
+    )
+    def test_shared_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        # synth reads only its own flags and --seed.
+        out = tmp_path / "x.kdd"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--output", str(out), *flag])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_separation_centers_coincide(self):
@@ -147,6 +164,36 @@ class TestTrainCommand:
         assert code == EXIT_OK
         assert "skipped=1" in stdout
         assert "groups=2" in stdout
+
+
+    @pytest.mark.parametrize("label", ["foo bar.", "n\u00e9rmal."])
+    def test_label_not_one_ascii_token_strict_exit_parse(self, tmp_path, capsys, label):
+        bad = tmp_path / "bad.kdd"
+        bad.write_text(REAL_LINES[0] + "\n" + REAL_LINES[2].rsplit(",", 1)[0] + "," + label + "\n")
+        code, _, err = run_cli(
+            capsys, "train", "--train-file", str(bad), "--model", str(tmp_path / "m.model"),
+        )
+        assert code == EXIT_PARSE
+        assert "bad.kdd:2: label" in err
+
+    @pytest.mark.parametrize("label", ["foo bar.", "n\u00e9rmal."])
+    def test_label_not_one_ascii_token_lenient_skips(self, tmp_path, capsys, label):
+        # The skipped line never reaches the model file, which stores a
+        # label as one space-separated ASCII token.
+        bad = tmp_path / "bad.kdd"
+        bad.write_text(REAL_LINES[0] + "\n" + REAL_LINES[2].rsplit(",", 1)[0] + "," + label + "\n")
+        model_path = tmp_path / "m.model"
+        code, stdout, _ = run_cli(
+            capsys, "train", "--lenient", "--train-file", str(bad), "--model", str(model_path),
+        )
+        assert code == EXIT_OK
+        assert "skipped=1" in stdout
+        assert "groups=1" in stdout
+        code, stdout, _ = run_cli(
+            capsys, "detect", "--model", str(model_path), "--test-file", str(bad), "--lenient",
+        )
+        assert code == EXIT_OK
+        assert len(stdout.splitlines()) == 1
 
 
 class TestDetectCommand:
@@ -437,3 +484,109 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert out == ""
         assert "workers must be >= 1" in err
+
+
+# -- fuzzed model and data files through the whole CLI ---------------------------
+
+FUZZ_TOKENS = [
+    "foo bar.", "normal. ", "n\u00e9rmal.", "nan", "inf", "-1", "1e308", "-1e308", "1e999",
+    "", "0", "2", "x", "normal", "dos", "smurf.", "gaids-model",
+]
+
+# One edit: (operation, unit, line index, token index or splice point, new token).
+# Indices wrap around, so every drawn edit applies to any file.
+fuzz_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "drop", "duplicate", "splice"]),
+        st.sampled_from(["token", "line"]),
+        st.integers(0, 200),
+        st.integers(0, 200),
+        st.sampled_from(FUZZ_TOKENS),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def mutate(text, sep, edits):
+    """text with each edit applied to its lines, or to the sep-separated
+    tokens of one line."""
+    lines = text.splitlines()
+    for op, unit, i, j, new in edits:
+        if not lines:
+            lines = [""]
+        i %= len(lines)
+        if unit == "line":
+            if op == "replace":
+                lines[i] = new
+            elif op == "drop":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(i, lines[i])
+            else:  # the head of line i joined to the tail of the next line
+                other = lines[(i + 1) % len(lines)]
+                lines[i] = lines[i][: j % (len(lines[i]) + 1)] + other[j % (len(other) + 1):]
+        else:
+            tokens = lines[i].split(sep)
+            j %= len(tokens)
+            if op == "replace":
+                tokens[j] = new
+            elif op == "drop":
+                del tokens[j]
+            elif op == "duplicate":
+                tokens.insert(j, tokens[j])
+            else:  # token j fused with its right neighbour
+                tokens[j : j + 2] = ["".join(tokens[j : j + 2])]
+            lines[i] = sep.join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    data = tmp / "data.kdd"
+    data.write_text("\n".join(generate_lines(2, 3, 0.5, 0.02, seed=4)) + "\n")
+    model_path = tmp / "base.model"
+    assert quiet_main("train", "--train-file", str(data), "--model", str(model_path)) == EXIT_OK
+    return tmp, data, model_path
+
+
+def quiet_main(*argv):
+    """cli.main with its printed output discarded; returns the exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(target=st.sampled_from(["data", "model"]), edits=fuzz_edits)
+# The label of the first data line becomes two tokens, or a non-ASCII one;
+# each once broke the model file a lenient train wrote.
+@example(target="data", edits=[("replace", "token", 0, 41, "foo bar.")])
+@example(target="data", edits=[("replace", "token", 0, 41, "n\u00e9rmal.")])
+# Two finite training values whose difference overflows to inf.
+@example(
+    target="data",
+    edits=[("replace", "token", 0, 5, "1e308"), ("replace", "token", 1, 5, "-1e308")],
+)
+def test_fuzzed_files_exit_with_documented_codes(fuzz_files, target, edits):
+    tmp, data, model_path = fuzz_files
+    documented = {EXIT_OK, EXIT_CONFIG, EXIT_PARSE, EXIT_MODEL}
+    if target == "model":
+        bad_model = tmp / "fuzzed.model"
+        bad_model.write_text(mutate(model_path.read_text(), " ", edits), encoding="utf-8")
+        code = quiet_main("detect", "--model", str(bad_model), "--test-file", str(data))
+        assert code in documented
+        return
+
+    bad_data = tmp / "fuzzed.kdd"
+    bad_data.write_text(mutate(data.read_text(), ",", edits), encoding="utf-8")
+    code = quiet_main("detect", "--model", str(model_path), "--test-file", str(bad_data))
+    assert code in documented
+    for mode in ("--strict", "--lenient"):
+        trained = tmp / "trained.model"
+        trained.unlink(missing_ok=True)
+        code = quiet_main("train", mode, "--train-file", str(bad_data), "--model", str(trained))
+        assert code in documented
+        if code == EXIT_OK:
+            # Whatever training accepts, detection accepts as a model.
+            assert quiet_main("detect", "--model", str(trained), "--test-file", str(data)) == EXIT_OK

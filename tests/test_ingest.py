@@ -63,6 +63,18 @@ class TestParseRecord:
         with pytest.raises(MalformedRecord):
             parse_record(make_line(label=""))
 
+    @pytest.mark.parametrize("label", ["foo bar.", "normal. ", "\tnormal.", "nor\x0bmal.", "sm\u00e9rf."])
+    def test_label_must_be_one_ascii_token(self, label):
+        # A model file stores the label as one space-separated ASCII token.
+        line = make_line(label=label)
+        with pytest.raises(MalformedRecord, match="label"):
+            parse_record(line)
+        with pytest.raises(MalformedRecord, match="^f.kdd:2: "):
+            read_records([make_line(), line], source="f.kdd")
+        data, skipped = read_records([make_line(), line], strict=False)
+        assert skipped == 1
+        assert data.attack_names == ["normal"]
+
     def test_real_line_schema_positions(self):
         # Cross-checked against the kddcup.names feature order: duration is
         # field 1, the symbolic protocol_type/service/flag sit at 2,3,4.
@@ -214,6 +226,11 @@ class TestNormalization:
         with pytest.raises(EmptyDataset):
             fit_normalization(dataset([]))
 
+    def test_overflowing_span_rejected(self):
+        # Both values are finite, but their difference is not.
+        with pytest.raises(NonNumericFeature, match="^field 7: values span more than the float range$"):
+            fit_normalization(dataset([record({3: -1e308}), record({3: 1e308})]))
+
     def test_matches_bruteforce_scan(self, rng):
         records = [record(rng.random(NUM_FEATURES) * 100) for _ in range(200)]
         stats = fit_normalization(dataset(records))
@@ -238,6 +255,11 @@ class TestNormalization:
         assert stats.transform(record({0: 12.0}).features)[0] == 1.0
         assert stats.transform(record({0: -3.0}).features)[0] == 0.0
 
+    def test_clamps_values_that_overflow(self):
+        stats = NormalizationStats(np.zeros(NUM_FEATURES), np.full(NUM_FEATURES, 0.5))
+        out = stats.transform(record({0: 1e308, 1: -1e308}).features)
+        assert out[0] == 1.0 and out[1] == 0.0
+
     def test_output_always_in_unit_cube(self, rng):
         train = dataset(record(rng.random(NUM_FEATURES) * 50 - 10) for _ in range(50))
         stats = fit_normalization(train)
@@ -259,6 +281,7 @@ class TestNormalization:
 # -- fuzzed lines against a field-by-field reference parser --------------------
 
 FUZZ_VALUES = ["oops", "nan", "inf", "-inf", "1e999", "\u00e9", "\ufffd", "\u0663", "", " 7 "]
+ODD_LABELS = ["foo bar.", "normal. ", " smurf.", "\u00e9.", "\ufffd", "nor\x1fmal."]
 
 
 def reference(line):
@@ -266,7 +289,8 @@ def reference(line):
     splitting on commas and calling float() on each retained field."""
     parts = line.split(",")
     label = parts[-1][:-1] if parts[-1].endswith(".") else parts[-1]
-    if len(parts) != 42 or not label:
+    one_token = label.isascii() and not any(c.isspace() for c in label)
+    if len(parts) != 42 or not label or not one_token:
         return MalformedRecord, None
     values = []
     for pos, field in enumerate(parts[:41]):
@@ -286,7 +310,9 @@ def reference(line):
 def fuzzed_line(draw):
     fields = draw(st.sampled_from(REAL_LINES)).split(",")
     for _ in range(draw(st.integers(0, 2))):
-        op = draw(st.sampled_from(["drop", "duplicate", "replace", "no-period", "unknown-name"]))
+        op = draw(st.sampled_from(
+            ["drop", "duplicate", "replace", "no-period", "unknown-name", "odd-label"]
+        ))
         i = draw(st.integers(0, len(fields) - 2))
         if op == "drop":
             del fields[i]
@@ -296,6 +322,8 @@ def fuzzed_line(draw):
             fields[i] = draw(st.sampled_from(FUZZ_VALUES))
         elif op == "no-period":
             fields[-1] = fields[-1].rstrip(".")
+        elif op == "odd-label":
+            fields[-1] = draw(st.sampled_from(ODD_LABELS))
         else:
             fields[-1] = "zerg_rush."
     return ",".join(fields)

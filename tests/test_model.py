@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -430,3 +433,29 @@ class TestPersistence:
         path.write_text("\n".join([" ".join(header)] + lines[1:]) + "\n")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    def test_rejects_overflowing_normalization_span(self, tmp_path):
+        # Each bound is finite, but max - min is not: transform would make
+        # every value of the feature NaN or 0.
+        feat_min, feat_max = np.zeros(NUM_FEATURES), np.ones(NUM_FEATURES)
+        feat_min[4], feat_max[4] = -1e308, 1e308
+        m = build_model(
+            [np.full(NUM_FEATURES, 0.5)], ["normal"], stats=NormalizationStats(feat_min, feat_max)
+        )
+        path = tmp_path / "m.model"
+        save_model(m, path)
+        with pytest.raises(ModelFormatError, match="span overflows, in column 4"):
+            load_model(path)
+
+
+def test_import_loads_no_engine_or_pools():
+    # Loading a model is the start-up cost of every command: importing
+    # gaids.model must not pull in the GA engine, reporting or process pools.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    heavy = ["gaids.engine", "gaids.metrics", "concurrent.futures", "multiprocessing"]
+    probe = f"import sys, gaids.model; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
