@@ -5,8 +5,9 @@ CLI flag > config file > built-in default. The config file is flat
 key=value text with keys matching the long flag names. synth takes only
 its own flags and --seed.
 
-Exit codes: 0 success, 2 config/usage error or a file that cannot be
-read or written (OSError), 3 data parse error, 4 model error.
+Exit codes: 0 success, 2 config/usage error, a file that cannot be read
+or written (OSError) or settings whose arrays do not fit in memory
+(MemoryError), 3 data parse error, 4 model error.
 """
 
 from __future__ import annotations
@@ -279,6 +280,10 @@ def main(argv=None) -> int:
         raise  # handled quietly by run()
     except (GaidsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # e.g. a --population-size whose gene array cannot be allocated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -1,30 +1,56 @@
-"""Per-record genetic search over the chromosome model.
+"""Genetic search over the chromosome model, a block of records in lockstep.
 
-Each test record spawns a population of mutated copies of itself, held as
-one (P, n) float64 gene array, one row per candidate. Every generation the
-whole array is scored against the model in one kernel call (spread-
-normalized distance to the nearest chromosome, lower is better), the worst
-quarter of the rows is dropped, adjacent row pairs cross over, and single
-genes mutate. The loop stops when one row survives (or the generation cap
-hits); the survivor's nearest chromosome group is the prediction.
+Each test record spawns a population of P mutated copies of itself. Every
+generation scores the candidates against the model (spread-normalized
+distance to the nearest chromosome, lower is better), drops the worst
+fraction, crosses adjacent row pairs over and mutates single genes. The
+loop stops when one row survives or the generation cap hits; the
+survivor's nearest chromosome group is the prediction.
 
-All randomness flows through numpy's PCG64. A batch run derives one
-independent stream per record as PCG64(seed XOR record_index), so serial
-and parallel execution produce identical output. Within a record the draws
-come in this order (tests/test_engine.py pins it end to end):
+How many rows survive each generation depends only on GaParams (`schedule`:
+32, 24, 18, 14, 11, 9, 7, 6, 5, 4, 3, 2, 1 for the defaults), so a block of
+R records advances together as one (R, P_g, n) float64 gene array. Each
+generation is:
 
-- initialize_population: for rows 1..P-1, random(n) then normal(0, sigma, n);
-- select: no draws;
-- crossover: for each adjacent pair, random(), then integers(1, n) on a hit;
-- mutate: for each row, random(), then integers(0, n) and normal(0, sigma)
-  on a hit.
+1. one `kernels.batch_fitness` call on the (R * P_g, n) rows;
+2. `select`: a stable argsort of each record's fitness, keeping a prefix;
+3. `crossover`: masked suffix swaps on the row pairs (0,1), (2,3), ...;
+4. `mutate`: a masked single-gene update of each row.
+
+The masks of all generations are made once per block, from the block's
+draw tape (`decide`), before the loop starts.
+
+No step mixes records, and the kernel returns for each row what a per-row
+scan would, so a record's prediction does not depend on its block or on
+its neighbours. `detect` is the block of one record.
+
+The draw tape. All randomness flows through numpy's PCG64. Record i of a
+batch has its own stream PCG64(seed XOR i), so output is identical for any
+worker count and any block size. A record draws its whole tape up front,
+in four generator calls, every value whether or not the search uses it.
+With n features, generation sizes s_0 = P, s_1, ..., s_{G-1}, and the
+crossover and mutation steps run at sizes s_1..s_{G-1} (after each select),
+write C = sum(s_g // 2) and M = sum(s_g) over g = 1..G-1. In draw order:
+
+- uniforms = random((P-1)*n + C + M): the initial gene gates of rows
+  1..P-1 (row-major), then one crossover gate per pair, then one mutation
+  gate per row;
+- normals = standard_normal((P-1)*n + M), scaled by mutation_sigma: the
+  initial gene noise of rows 1..P-1, then one mutation delta per row;
+- cuts = integers(1, n, C): one crossover cut per pair;
+- loci = integers(0, n, M): one mutated gene index per row.
+
+Within the crossover and mutation sections the values run generation by
+generation, then pair by pair (row by row).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,52 +113,164 @@ def record_rng(seed: int, index: int) -> np.random.Generator:
     return make_rng((seed ^ index) % _MAX_SEED)
 
 
-def initialize_population(
-    x: np.ndarray, params: GaParams, rng: np.random.Generator
-) -> np.ndarray:
-    """(population_size, n) genes. Row 0 is the record itself; every later
-    row is a noisy copy where each gene mutates independently with
-    probability mutation_rate."""
-    n = x.shape[0]
-    size = params.population_size
-    mask = np.zeros((size, n), dtype=bool)
-    noise = np.zeros((size, n))
-    for i in range(1, size):
-        mask[i] = rng.random(n) < params.mutation_rate
-        noise[i] = rng.normal(0.0, params.mutation_sigma, n)
-    return np.where(mask, np.clip(x + noise, 0.0, 1.0), x)
+def _survivors(size: int, removal_fraction: float) -> int:
+    """Rows left after dropping the worst floor(removal_fraction * size):
+    at least one row is dropped, and at least one survives."""
+    return size - min(size - 1, max(1, math.floor(removal_fraction * size)))
+
+
+def schedule(params: GaParams) -> list[int]:
+    """Population size of each generation the search scores."""
+    sizes = [params.population_size]
+    while sizes[-1] > 1 and len(sizes) < params.max_generations:
+        sizes.append(_survivors(sizes[-1], params.removal_fraction))
+    return sizes
+
+
+class Tape(NamedTuple):
+    """A block's random values, one row per record, as the sections of the
+    layout the module docstring gives. With R records, P candidates, n
+    features, C pairs and M rows: init_gates and init_noise are (R, P-1, n);
+    pair_gates and cuts (R, C); row_gates, loci and deltas (R, M)."""
+
+    init_gates: np.ndarray
+    init_noise: np.ndarray
+    pair_gates: np.ndarray
+    cuts: np.ndarray
+    row_gates: np.ndarray
+    loci: np.ndarray
+    deltas: np.ndarray
+
+
+def draw_tape(rngs: Sequence[np.random.Generator], params: GaParams, n: int) -> Tape:
+    """Draw the tape of each record from its own stream."""
+    sizes = schedule(params)
+    init = (sizes[0] - 1) * n
+    pairs = sum(s // 2 for s in sizes[1:])
+    rows = sum(sizes[1:])
+    count = len(rngs)
+    uniforms = np.empty((count, init + pairs + rows))
+    normals = np.empty((count, init + rows))
+    cuts = np.empty((count, pairs), dtype=np.int64)
+    loci = np.empty((count, rows), dtype=np.int64)
+    for i, rng in enumerate(rngs):
+        rng.random(out=uniforms[i])
+        rng.standard_normal(out=normals[i])
+        cuts[i] = rng.integers(1, n, pairs)
+        loci[i] = rng.integers(0, n, rows)
+    # A huge sigma overflows to +-inf, which the operators clamp to 1 or 0.
+    with np.errstate(over="ignore"):
+        normals *= params.mutation_sigma
+    shape = (count, sizes[0] - 1, n)
+    return Tape(
+        init_gates=uniforms[:, :init].reshape(shape),
+        init_noise=normals[:, :init].reshape(shape),
+        pair_gates=uniforms[:, init : init + pairs],
+        cuts=cuts,
+        row_gates=uniforms[:, init + pairs :],
+        loci=loci,
+        deltas=normals[:, init:],
+    )
+
+
+def initialize_population(x: np.ndarray, gates: np.ndarray, noise: np.ndarray, rate: float) -> np.ndarray:
+    """(R, P, n) genes for the (R, n) records x. Row 0 of each population
+    is its record; in rows 1..P-1 (gates and noise are (R, P-1, n)) a gene
+    whose gate is below rate becomes clip(x + noise, 0, 1)."""
+    genes = np.empty((x.shape[0], gates.shape[1] + 1, x.shape[1]))
+    genes[:, 0] = x
+    copies = genes[:, 1:]
+    np.add(x[:, None, :], noise, out=copies)
+    np.clip(copies, 0.0, 1.0, out=copies)
+    np.copyto(copies, x[:, None, :], where=gates >= rate)
+    return genes
 
 
 def select(genes: np.ndarray, fitness: np.ndarray, removal_fraction: float) -> np.ndarray:
-    """Drop the worst floor(removal_fraction * size) rows, at least one per
-    call, never below one survivor. Rows are ranked ascending by fitness,
-    stable by index; the survivors are a new array."""
-    size = genes.shape[0]
-    drop = min(size - 1, max(1, math.floor(removal_fraction * size)))
-    return genes[np.argsort(fitness, kind="stable")[: size - drop]]
+    """Drop the worst floor(removal_fraction * size) rows of each population
+    along axis -2, at least one per call, never below one survivor. Rows are
+    ranked ascending by fitness (shape genes.shape[:-1]), stable by index;
+    the survivors are a new array."""
+    size = genes.shape[-2]
+    order = np.argsort(fitness, axis=-1, kind="stable")[..., : _survivors(size, removal_fraction)]
+    # Row numbers in the populations stacked as one (-1, n) array: one
+    # gather, where take_along_axis would index gene by gene.
+    order += np.arange(0, fitness.size, size).reshape(order.shape[:-1] + (1,))
+    return genes.reshape(-1, genes.shape[-1])[order]
 
 
-def crossover(genes: np.ndarray, rate: float, rng: np.random.Generator) -> None:
-    """Single-point suffix swap on adjacent row pairs (0,1),(2,3),... each
-    with probability rate; the cut point is uniform in [1, n-1]. In place."""
-    n = genes.shape[1]
-    for i in range(0, genes.shape[0] - 1, 2):
-        if rng.random() < rate:
-            cut = int(rng.integers(1, n))
-            tail = genes[i, cut:].copy()
-            genes[i, cut:] = genes[i + 1, cut:]
-            genes[i + 1, cut:] = tail
+def decide(tape: Tape, params: GaParams) -> tuple[np.ndarray, np.ndarray]:
+    """Every crossover and mutation decision of a block, made once from its
+    tape: (R, C, n) swap masks, where a pair whose gate is below
+    crossover_rate exchanges its genes from its cut on, and (R, M) hits,
+    the rows whose gate is below mutation_rate."""
+    n = tape.init_gates.shape[2]
+    swaps = (tape.pair_gates < params.crossover_rate)[..., None] & (np.arange(n) >= tape.cuts[..., None])
+    return swaps, tape.row_gates < params.mutation_rate
 
 
-def mutate(genes: np.ndarray, rate: float, sigma: float, rng: np.random.Generator) -> None:
-    """Each row, with probability rate, gets one uniformly chosen gene
-    perturbed by Gaussian noise and clamped to [0,1]. In place."""
-    n = genes.shape[1]
-    for row in genes:
-        if rng.random() < rate:
-            idx = int(rng.integers(0, n))
-            delta = rng.normal(0.0, sigma)
-            row[idx] = min(1.0, max(0.0, row[idx] + delta))
+def crossover(genes: np.ndarray, swap: np.ndarray) -> None:
+    """Masked swap on the row pairs (0,1), (2,3), ... of each (R, S, n)
+    population: pair k exchanges the genes set in swap[:, k], an
+    (R, S // 2, n) mask. In place."""
+    pairs = swap.shape[1]
+    even = genes[:, 0 : 2 * pairs : 2]
+    odd = genes[:, 1 : 2 * pairs : 2]
+    tail = even.copy()
+    np.copyto(even, odd, where=swap)
+    np.copyto(odd, tail, where=swap)
+
+
+def mutate(genes: np.ndarray, hit: np.ndarray, loci: np.ndarray, deltas: np.ndarray) -> None:
+    """Each row of the (R, S, n) populations set in hit gets gene
+    loci[r, s] moved by deltas[r, s] and clamped to [0,1] (hit, loci and
+    deltas are (R, S)). In place."""
+    r, s = np.nonzero(hit)
+    locus = loci[r, s]
+    genes[r, s, locus] = np.clip(genes[r, s, locus] + deltas[r, s], 0.0, 1.0)
+
+
+def _search(
+    x: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    model: ChromosomeModel,
+    params: GaParams,
+) -> list[Prediction]:
+    """Classify the (R, n) normalized records x, record r drawing from rngs[r]."""
+    sizes = schedule(params)
+    count, n = x.shape
+    tape = draw_tape(rngs, params, n)
+    genes = initialize_population(x, tape.init_gates, tape.init_noise, params.mutation_rate)
+    swaps, hits = decide(tape, params)
+    pair = row = 0
+    for g, size in enumerate(sizes):
+        fitness, nearest = kernels.batch_fitness(
+            genes.reshape(count * size, n), model.centroids, model.sq_norms, model.denoms
+        )
+        if g + 1 == len(sizes):
+            break
+        genes = select(genes, fitness.reshape(count, size), params.removal_fraction)
+        size = sizes[g + 1]
+        pairs = slice(pair, pair + size // 2)
+        crossover(genes, swaps[:, pairs])
+        rows = slice(row, row + size)
+        mutate(genes, hits[:, rows], tape.loci[:, rows], tape.deltas[:, rows])
+        pair, row = pairs.stop, rows.stop
+
+    fitness = fitness.reshape(count, -1)
+    nearest = nearest.reshape(count, -1)
+    predictions = []
+    for r, best in enumerate(fitness.argmin(axis=1)):
+        label = model.labels[nearest[r, best]]
+        predictions.append(
+            Prediction(
+                attack_name=label,
+                category=model.category_of[label],
+                survivor_fitness=float(fitness[r, best]),
+                generations_run=len(sizes),
+            )
+        )
+    return predictions
 
 
 def detect(
@@ -144,31 +282,17 @@ def detect(
     """Classify one record by shrinking a mutated population to a survivor."""
     if rng is None:
         rng = make_rng(params.seed)
-    x = model.normalization.transform(record.features)
-    genes = initialize_population(x, params, rng)
-    generations = 0
-    while True:
-        fitness, nearest = kernels.batch_fitness(
-            genes, model.centroids, model.sq_norms, model.denoms
-        )
-        generations += 1
-        if genes.shape[0] == 1 or generations >= params.max_generations:
-            break
-        genes = select(genes, fitness, params.removal_fraction)
-        crossover(genes, params.crossover_rate, rng)
-        mutate(genes, params.mutation_rate, params.mutation_sigma, rng)
-
-    best = int(np.argmin(fitness))
-    label = model.labels[nearest[best]]
-    return Prediction(
-        attack_name=label,
-        category=model.category_of[label],
-        survivor_fitness=float(fitness[best]),
-        generations_run=generations,
-    )
+    x = model.normalization.transform(record.features[None, :])
+    return _search(x, [rng], model, params)[0]
 
 
 # -- batch execution ---------------------------------------------------------
+
+# Records per block: R * P * max(K, n) stays within this many elements. That
+# bounds a block's kernel temporaries, (R * P, K) scores and (R * P, n)
+# candidate rows, which with its tape cost about 100 KB of peak RSS per
+# record at K <= n: 13 records add about 1.5 MB to a process.
+_BLOCK_ELEMENTS = 2**14
 
 _WORKER: dict = {}
 
@@ -182,10 +306,14 @@ def _init_worker(model: ChromosomeModel, params: GaParams, features: np.ndarray)
 def _detect_range(
     features: np.ndarray, model: ChromosomeModel, params: GaParams, start: int, end: int
 ) -> list[Prediction]:
-    return [
-        detect(ConnectionRecord(features[i], None, None), model, params, record_rng(params.seed, i))
-        for i in range(start, end)
-    ]
+    step = max(1, _BLOCK_ELEMENTS // (params.population_size * max(model.centroids.shape)))
+    predictions: list[Prediction] = []
+    for lo in range(start, end, step):
+        hi = min(lo + step, end)
+        x = model.normalization.transform(features[lo:hi])
+        rngs = [record_rng(params.seed, i) for i in range(lo, hi)]
+        predictions += _search(x, rngs, model, params)
+    return predictions
 
 
 def _run_range(bounds: tuple[int, int]) -> list[Prediction]:
@@ -199,9 +327,11 @@ def run_batch(
     workers: int = 1,
 ) -> list[Prediction]:
     """Detect every record. Per-record RNG streams make the result identical
-    for any worker count; the pool receives the one feature matrix."""
+    for any worker count; the pool, at most one process per CPU, receives
+    the one feature matrix."""
     if not len(records):
         return []
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return _detect_range(records.features, model, params, 0, len(records))
     chunk = max(1, math.ceil(len(records) / (workers * 4)))

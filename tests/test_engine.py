@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from gaids import engine, kernels
 from gaids.engine import (
     GaParams,
     crossover,
+    decide,
     detect,
+    draw_tape,
     initialize_population,
     make_rng,
     mutate,
     record_rng,
     run_batch,
+    schedule,
     select,
 )
 from gaids.errors import EmptyModel
@@ -69,36 +73,108 @@ def in_unit_cube(genes):
     return bool(np.all(genes >= 0.0) and np.all(genes <= 1.0))
 
 
+def tape_for(params, count=1, seed=0):
+    """The tapes of records 0..count-1 of a batch run with this seed."""
+    return draw_tape([record_rng(seed, i) for i in range(count)], params, NUM_FEATURES)
+
+
+def populate(x, params, seed=0):
+    """Initial (R, P, n) genes of the (R, n) records x, from their tapes."""
+    tape = tape_for(params, len(x), seed)
+    return initialize_population(x, tape.init_gates, tape.init_noise, params.mutation_rate)
+
+
+class TestTape:
+    def test_schedule(self):
+        assert schedule(GaParams()) == [32, 24, 18, 14, 11, 9, 7, 6, 5, 4, 3, 2, 1]
+        assert schedule(GaParams(max_generations=4)) == [32, 24, 18, 14]
+        assert schedule(GaParams(population_size=1)) == [1]
+        assert schedule(GaParams(population_size=5, removal_fraction=0.9)) == [5, 1]
+
+    def test_section_sizes(self):
+        # C = 12+9+7+5+4+3+3+2+2+1+1+0 pairs and M = 104 rows after select.
+        n, pairs, rows = NUM_FEATURES, 49, 104
+        tape = tape_for(GaParams(), count=3)
+        assert tape.init_gates.shape == tape.init_noise.shape == (3, 31, n)
+        assert tape.pair_gates.shape == tape.cuts.shape == (3, pairs)
+        assert tape.row_gates.shape == tape.loci.shape == tape.deltas.shape == (3, rows)
+        assert tape.cuts.min() >= 1 and tape.cuts.max() <= n - 1
+        assert tape.loci.min() >= 0 and tape.loci.max() <= n - 1
+
+    def test_replays_the_documented_draws(self):
+        # Independent replay of the module docstring's layout: four calls
+        # on the record's own stream, every value drawn.
+        params = GaParams(population_size=10, mutation_sigma=0.2, seed=31)
+        sizes = schedule(params)
+        init = (params.population_size - 1) * NUM_FEATURES
+        pairs = sum(s // 2 for s in sizes[1:])
+        rows = sum(sizes[1:])
+        tape = tape_for(params, count=4, seed=params.seed)
+        for i in range(4):
+            replay = np.random.Generator(np.random.PCG64(params.seed ^ i))
+            uniforms = np.concatenate([tape.init_gates[i].ravel(), tape.pair_gates[i], tape.row_gates[i]])
+            normals = np.concatenate([tape.init_noise[i].ravel(), tape.deltas[i]])
+            assert np.array_equal(uniforms, replay.random(init + pairs + rows))
+            assert np.array_equal(normals, replay.standard_normal(init + rows) * 0.2)
+            assert np.array_equal(tape.cuts[i], replay.integers(1, NUM_FEATURES, pairs))
+            assert np.array_equal(tape.loci[i], replay.integers(0, NUM_FEATURES, rows))
+
+
 class TestInitializePopulation:
     def test_size_one_is_exact_copy(self, rng):
-        x = rng.random(NUM_FEATURES)
-        pop = initialize_population(x, GaParams(population_size=1), rng)
-        assert pop.shape == (1, NUM_FEATURES)
-        assert np.array_equal(pop[0], x)
+        x = rng.random((2, NUM_FEATURES))
+        pop = populate(x, GaParams(population_size=1))
+        assert pop.shape == (2, 1, NUM_FEATURES)
+        assert np.array_equal(pop[:, 0], x)
 
     def test_zero_sigma_copies_exactly(self, rng):
-        x = rng.random(NUM_FEATURES)
-        pop = initialize_population(x, GaParams(mutation_sigma=0.0), rng)
-        assert pop.shape == (32, NUM_FEATURES)
-        for row in pop:
-            assert np.array_equal(row, x)
-
-    def test_candidate_zero_untouched(self, rng):
-        x = rng.random(NUM_FEATURES)
-        pop = initialize_population(x, GaParams(), rng)
-        assert np.array_equal(pop[0], x)
+        # Every gene is gated through, and each noisy copy is the record.
+        x = rng.random((2, NUM_FEATURES))
+        pop = populate(x, GaParams(mutation_sigma=0.0, mutation_rate=1.0))
+        assert pop.shape == (2, 32, NUM_FEATURES)
+        for r in range(2):
+            for row in pop[r]:
+                assert np.array_equal(row, x[r])
 
     def test_seeded_runs_identical(self):
-        x = np.linspace(0, 1, NUM_FEATURES)
+        x = np.tile(np.linspace(0, 1, NUM_FEATURES), (2, 1))
         p = GaParams()
-        pop1 = initialize_population(x, p, make_rng(99))
-        pop2 = initialize_population(x, p, make_rng(99))
-        assert np.array_equal(pop1, pop2)
+        assert np.array_equal(populate(x, p, seed=99), populate(x, p, seed=99))
+        assert not np.array_equal(populate(x, p, seed=99), populate(x, p, seed=98))
 
-    def test_genes_clamped(self, rng):
-        x = np.ones(NUM_FEATURES)
-        pop = initialize_population(x, GaParams(mutation_sigma=5.0, mutation_rate=1.0), rng)
+    def test_candidate_zero_untouched(self, rng):
+        x = rng.random((3, NUM_FEATURES))
+        pop = populate(x, GaParams())
+        assert np.array_equal(pop[:, 0], x)
+
+    def test_gates_choose_the_noisy_genes(self, rng):
+        x = rng.random((3, NUM_FEATURES))
+        params = GaParams()
+        tape = tape_for(params, 3)
+        gates, noise = tape.init_gates, tape.init_noise
+        pop = initialize_population(x, gates, noise, params.mutation_rate)
+        hit = gates < params.mutation_rate
+        assert 0 < hit.sum() < hit.size
+        kept = np.broadcast_to(x[:, None, :], pop[:, 1:].shape)
+        assert np.array_equal(pop[:, 1:][~hit], kept[~hit])
+        assert np.array_equal(pop[:, 1:][hit], np.clip(kept + noise, 0.0, 1.0)[hit])
+
+    def test_genes_clamped(self):
+        x = np.ones((2, NUM_FEATURES))
+        pop = populate(x, GaParams(mutation_sigma=5.0, mutation_rate=1.0))
         assert in_unit_cube(pop)
+        assert not np.array_equal(pop[:, 1:], np.ones_like(pop[:, 1:]))
+
+    def test_overflowing_sigma_clamps_without_warning(self, rng):
+        # sigma * noise overflows to +-inf for the largest finite sigma; the
+        # clamp maps it to 1 or 0, and (warnings being errors) nothing warns.
+        x = rng.random((2, NUM_FEATURES))
+        params = GaParams(mutation_sigma=1e308, mutation_rate=1.0)
+        pop = populate(x, params)
+        assert in_unit_cube(pop)
+        assert set(np.unique(pop[:, 1:])) == {0.0, 1.0}
+        m = random_model(rng, 4)
+        assert detect(record(x[0]), m, params).generations_run == 13
 
 
 def score(genes, model):
@@ -198,72 +274,121 @@ class TestSelect:
         assert np.array_equal(survivors, pop[:2])
 
 
+class TestDecide:
+    def test_swaps_are_gated_suffixes_and_hits_are_gated_rows(self):
+        params = GaParams()
+        tape = tape_for(params, 3)
+        swaps, hits = decide(tape, params)
+        assert swaps.shape == (3, 49, NUM_FEATURES)
+        for r in range(3):
+            for k in range(49):
+                gated = tape.pair_gates[r, k] < params.crossover_rate
+                expected = np.arange(NUM_FEATURES) >= tape.cuts[r, k] if gated else np.zeros(NUM_FEATURES, bool)
+                assert np.array_equal(swaps[r, k], expected)
+        assert 0 < swaps.any(axis=2).sum() < swaps.shape[0] * swaps.shape[1]
+        assert np.array_equal(hits, tape.row_gates < params.mutation_rate)
+
+
+def masks(cuts):
+    """(R, pairs, n) swap masks: each pair exchanges its genes from its cut
+    on."""
+    return np.arange(NUM_FEATURES) >= np.asarray(cuts)[..., None]
+
+
 class TestCrossover:
     def test_zero_rate_is_noop(self, rng):
-        genes = rng.random((4, NUM_FEATURES))
+        params = GaParams(population_size=5, crossover_rate=0.0)
+        swaps, _ = decide(tape_for(params, 2), params)
+        genes = rng.random((2, 4, NUM_FEATURES))
         pop = genes.copy()
-        crossover(pop, 0.0, rng)
+        crossover(pop, swaps[:, :2])
         assert np.array_equal(pop, genes)
 
     def test_identical_pair_unchanged(self, rng):
         g = rng.random(NUM_FEATURES)
-        pop = np.stack([g, g])
-        crossover(pop, 1.0, rng)
-        assert np.array_equal(pop[0], g)
-        assert np.array_equal(pop[1], g)
+        pop = np.stack([g, g])[None]
+        crossover(pop, masks([[7]]))
+        assert np.array_equal(pop[0, 0], g)
+        assert np.array_equal(pop[0, 1], g)
 
-    def test_seeded_pair_matches_manual_swap(self):
-        # Independent replay: consume the same draws from a fresh generator
-        # and apply the suffix swap to the two rows by hand.
-        a = np.linspace(0.0, 0.5, NUM_FEATURES)
-        b = np.linspace(0.5, 1.0, NUM_FEATURES)
-        pop = np.stack([a, b])
-        crossover(pop, 1.0, make_rng(1234))
+    def test_gated_pairs_swap_suffixes(self, rng):
+        # Two records of two pairs each, decided from their tapes: in each
+        # record one pair's gate is below the rate and swaps the suffix from
+        # its cut; the other pair stays.
+        params = GaParams(population_size=5, crossover_rate=0.5)
+        tape = tape_for(params, 2)
+        gates = np.full(tape.pair_gates.shape, 0.9)
+        gates[:, :2] = [[0.1, 0.9], [0.9, 0.1]]
+        cuts = tape.cuts.copy()
+        cuts[:, :2] = [[5, 7], [11, 3]]
+        swaps, _ = decide(tape._replace(pair_gates=gates, cuts=cuts), params)
+        genes = rng.random((2, 4, NUM_FEATURES))
+        pop = genes.copy()
+        crossover(pop, swaps[:, :2])
 
-        replay = make_rng(1234)
-        assert replay.random() < 1.0
-        cut = int(replay.integers(1, NUM_FEATURES))
-        expected_a = np.concatenate([a[:cut], b[cut:]])
-        expected_b = np.concatenate([b[:cut], a[cut:]])
-        assert np.array_equal(pop[0], expected_a)
-        assert np.array_equal(pop[1], expected_b)
+        def swapped(a, b, cut):
+            return np.concatenate([a[:cut], b[cut:]]), np.concatenate([b[:cut], a[cut:]])
+
+        expected = genes.copy()
+        expected[0, 0], expected[0, 1] = swapped(genes[0, 0], genes[0, 1], 5)
+        expected[1, 2], expected[1, 3] = swapped(genes[1, 2], genes[1, 3], 3)
+        assert np.array_equal(pop, expected)
 
     def test_odd_last_candidate_untouched(self, rng):
         g = rng.random(NUM_FEATURES)
-        pop = np.vstack([rng.random((2, NUM_FEATURES)), g])
-        crossover(pop, 1.0, rng)
-        assert np.array_equal(pop[2], g)
+        pop = np.vstack([rng.random((2, NUM_FEATURES)), g])[None]
+        crossover(pop, masks([[1]]))
+        assert np.array_equal(pop[0, 2], g)
 
     def test_population_size_unchanged(self, rng):
-        pop = rng.random((7, NUM_FEATURES))
-        crossover(pop, 1.0, rng)
-        assert pop.shape == (7, NUM_FEATURES)
+        pop = rng.random((2, 7, NUM_FEATURES))
+        crossover(pop, masks(np.full((2, 3), 20)))
+        assert pop.shape == (2, 7, NUM_FEATURES)
 
 
 class TestMutate:
+    def draws(self, rows, sigma=0.05):
+        """Loci and deltas for one (rows, n) population."""
+        rng = make_rng(3)
+        return rng.integers(0, NUM_FEATURES, (1, rows)), sigma * rng.standard_normal((1, rows))
+
     def test_zero_rate_is_noop(self, rng):
-        g = rng.random(NUM_FEATURES)
-        pop = g[None, :].copy()
-        mutate(pop, 0.0, 0.05, rng)
-        assert np.array_equal(pop[0], g)
+        params = GaParams(population_size=5, mutation_rate=0.0)
+        tape = tape_for(params, 2)
+        _, hits = decide(tape, params)
+        genes = rng.random((2, 4, NUM_FEATURES))
+        pop = genes.copy()
+        mutate(pop, hits[:, :4], tape.loci[:, :4], tape.deltas[:, :4])
+        assert np.array_equal(pop, genes)
 
     def test_zero_sigma_is_noop(self, rng):
         g = rng.random(NUM_FEATURES)
-        pop = g[None, :].copy()
-        mutate(pop, 1.0, 0.0, rng)
-        assert np.array_equal(pop[0], g)
+        pop = g[None, None, :].copy()
+        mutate(pop, np.ones((1, 1), bool), *self.draws(1, sigma=0.0))
+        assert np.array_equal(pop[0, 0], g)
 
-    def test_exactly_one_gene_changes(self, rng):
+    def test_exactly_one_gene_changes(self):
         # Genes sit mid-range and sigma is small, so clamping can never mask
-        # the perturbation; every row must differ in exactly one gene.
-        pop = np.full((1000, NUM_FEATURES), 0.5)
-        mutate(pop, 1.0, 0.05, rng)
-        assert np.array_equal((pop != 0.5).sum(axis=1), np.ones(1000))
+        # the perturbation; every row must differ in exactly its locus.
+        pop = np.full((1, 1000, NUM_FEATURES), 0.5)
+        loci, deltas = self.draws(1000)
+        mutate(pop, np.ones((1, 1000), bool), loci, deltas)
+        changed = pop != 0.5
+        assert np.array_equal(changed.sum(axis=2), np.ones((1, 1000)))
+        assert np.array_equal(np.argmax(changed, axis=2), loci)
 
-    def test_stays_clamped(self, rng):
-        pop = np.ones((100, NUM_FEATURES))
-        mutate(pop, 1.0, 10.0, rng)
+    def test_only_hit_rows_change(self):
+        pop = np.full((2, 2, NUM_FEATURES), 0.5)
+        mutate(pop, np.array([[True, False], [False, True]]), np.array([[4, 4], [9, 9]]),
+               np.full((2, 2), 0.1))
+        assert pop[0, 0, 4] == pop[1, 1, 9] == 0.6
+        assert (pop != 0.5).sum() == 2
+
+    def test_stays_clamped(self):
+        pop = np.ones((1, 100, NUM_FEATURES))
+        mutate(pop, np.ones((1, 100), bool), *self.draws(100, sigma=10.0))
         assert in_unit_cube(pop)
+        assert not np.array_equal(pop, np.ones_like(pop))
 
 
 class TestDetect:
@@ -327,13 +452,15 @@ class TestDetect:
         mutation_rate=st.floats(0.0, 1.0),
         mutation_sigma=st.floats(0.0, 5.0),
         seed=st.integers(0, 2**64 - 1),
+        records=st.integers(1, 3),
     )
     def test_genes_stay_in_unit_cube_throughout(
-        self, population_size, crossover_rate, mutation_rate, mutation_sigma, seed
+        self, population_size, crossover_rate, mutation_rate, mutation_sigma, seed, records
     ):
-        # Drive the raw generation loop and check the invariants after every
-        # operator: genes stay in [0,1], and select keeps the prefix of the
-        # stable ascending order by fitness. Fitness is coarsened so that
+        # Drive the raw lockstep loop on a block of records, reading the tape
+        # section by section, and check the invariants after every operator:
+        # genes stay in [0,1], and select keeps, per record, the prefix of
+        # the stable ascending order by fitness. Fitness is coarsened so that
         # ties are common and the tie rule is exercised.
         rng = make_rng(seed)
         m = random_model(rng, 8)
@@ -343,47 +470,58 @@ class TestDetect:
             mutation_rate=mutation_rate,
             mutation_sigma=mutation_sigma,
         )
-        genes = initialize_population(rng.random(NUM_FEATURES), params, rng)
-        assert genes.shape == (population_size, NUM_FEATURES)
+        x = rng.random((records, NUM_FEATURES))
+        tape = tape_for(params, records, seed)
+        genes = initialize_population(x, tape.init_gates, tape.init_noise, params.mutation_rate)
+        assert genes.shape == (records, population_size, NUM_FEATURES)
         assert in_unit_cube(genes)
-        while len(genes) > 1:
-            fitness, _ = kernels.batch_fitness(genes, m.centroids, m.sq_norms, m.denoms)
-            fitness = np.floor(4.0 * fitness)
+        assert np.array_equal(genes[:, 0], x)
+        swaps, hits = decide(tape, params)
+        pair = row = 0
+        sizes = schedule(params)
+        for size, survivors_size in zip(sizes, sizes[1:]):
+            fitness, _ = kernels.batch_fitness(genes.reshape(-1, NUM_FEATURES), m.centroids, m.sq_norms, m.denoms)
+            fitness = np.floor(4.0 * fitness).reshape(records, size)
             survivors = select(genes, fitness, params.removal_fraction)
-            order = sorted(range(len(genes)), key=lambda i: fitness[i])
-            assert 1 <= len(survivors) < len(genes)
-            assert np.array_equal(survivors, genes[order[: len(survivors)]])
+            assert survivors.shape == (records, survivors_size, NUM_FEATURES)
+            assert 1 <= survivors_size < size
+            for r in range(records):
+                order = sorted(range(size), key=lambda i: fitness[r, i])
+                assert np.array_equal(survivors[r], genes[r, order[:survivors_size]])
             assert in_unit_cube(survivors)
             genes = survivors
-            crossover(genes, params.crossover_rate, rng)
+            pairs = slice(pair, pair + survivors_size // 2)
+            crossover(genes, swaps[:, pairs])
             assert in_unit_cube(genes)
-            mutate(genes, params.mutation_rate, params.mutation_sigma, rng)
+            rows = slice(row, row + survivors_size)
+            mutate(genes, hits[:, rows], tape.loci[:, rows], tape.deltas[:, rows])
             assert in_unit_cube(genes)
+            pair, row = pairs.stop, rows.stop
+        assert (pair, row) == (tape.cuts.shape[1], tape.loci.shape[1])
 
-
-    # Recorded before the population became one array: any change to the
-    # order or number of generator draws in detect shows up here.
+    # Recorded with the fixed-layout draw tape: any change to the tape's
+    # layout or to the lockstep generation loop shows up here.
     GOLDEN = [
-        ("multihop", "0.7593047341200073", 13),
-        ("normal", "1.1010734265198912", 13),
-        ("portsweep", "0.9140138653349962", 13),
-        ("satan", "0.30110610652283165", 13),
-        ("named", "0.35135442958149204", 13),
-        ("ftp_write", "2.0619874639888987", 13),
-        ("xnsnoop", "1.189549232079683", 13),
-        ("warezmaster", "0.28789185614174106", 13),
-        ("sendmail", "0.5571128460129613", 13),
-        ("ftp_write", "0.25158462175702484", 13),
-        ("smurf", "1.2897907886535807", 13),
-        ("worm", "0.2812521840560261", 13),
-        ("multihop", "0.696457817089326", 13),
-        ("normal", "1.0572331819346423", 13),
-        ("portsweep", "1.1455583805618952", 13),
-        ("satan", "0.3095269813539404", 13),
-        ("named", "0.42379268359375843", 13),
-        ("ftp_write", "2.093047745932754", 13),
-        ("xnsnoop", "0.9729244736891921", 13),
-        ("warezmaster", "0.3100097300305153", 13),
+        ("multihop", "0.7696389018797902", 13),
+        ("normal", "0.9396463009467538", 13),
+        ("portsweep", "1.2775688106356287", 13),
+        ("satan", "0.30697025476799766", 13),
+        ("named", "0.37946900852931365", 13),
+        ("ftp_write", "2.0546962476746216", 13),
+        ("xnsnoop", "1.121419409236505", 13),
+        ("warezmaster", "0.3003439010426759", 13),
+        ("sendmail", "0.5739241313928735", 13),
+        ("ftp_write", "0.24875137903375275", 13),
+        ("smurf", "1.2733485766280586", 13),
+        ("worm", "0.27896080703726656", 13),
+        ("multihop", "0.8063599746681273", 13),
+        ("normal", "1.1300905324585397", 13),
+        ("portsweep", "1.1463010807713196", 13),
+        ("satan", "0.3156078544492478", 13),
+        ("named", "0.44988142649915347", 13),
+        ("ftp_write", "2.1138112589835147", 13),
+        ("xnsnoop", "1.010115306391711", 13),
+        ("warezmaster", "0.32391733025043773", 13),
     ]
 
     def test_golden_predictions(self):
@@ -401,6 +539,38 @@ class TestDetect:
             pred = detect(rec, m, params, record_rng(params.seed, i))
             rows.append((pred.attack_name, repr(pred.survivor_fitness), pred.generations_run))
         assert rows == self.GOLDEN
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        cuts=st.lists(st.integers(1, 11), max_size=5),
+        population_size=st.integers(1, 12),
+        crossover_rate=st.floats(0.0, 1.0),
+        mutation_rate=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_any_block_partition_matches_detect(
+        self, cuts, population_size, crossover_rate, mutation_rate, seed
+    ):
+        # Twelve records split into blocks at random cut points: each block
+        # runs as one lockstep search, and every record gets what detect
+        # gives it alone from the same stream.
+        rng = make_rng(seed)
+        m = random_model(rng, 6)
+        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(12))
+        params = GaParams(
+            population_size=population_size,
+            crossover_rate=crossover_rate,
+            mutation_rate=mutation_rate,
+            seed=seed,
+        )
+        bounds = [0, *sorted(set(cuts)), 12]
+        blocked = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            x = m.normalization.transform(recs.features[lo:hi])
+            blocked += engine._search(x, [record_rng(seed, i) for i in range(lo, hi)], m, params)
+        alone = [detect(rec, m, params, record_rng(seed, i)) for i, rec in enumerate(recs)]
+        assert blocked == alone
 
 
 class TestRunBatch:
@@ -421,9 +591,10 @@ class TestRunBatch:
         parallel = run_batch(recs, m, params, workers=3)
         assert serial == parallel
 
-    def test_pool_no_larger_than_chunk_count(self, rng, monkeypatch):
-        # Two records give two chunks, so eight workers must not ask for
-        # eight processes. The stub runs the chunks in this process.
+    def pool_sizes(self, rng, monkeypatch, records, workers, cpus):
+        """Pool sizes run_batch asks for on a host with `cpus` CPUs. The stub
+        pool runs the chunks in this process; the output must equal a
+        serial run's."""
         requested = []
 
         class StubPool:
@@ -442,11 +613,23 @@ class TestRunBatch:
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(engine, "_WORKER", {})
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
         m = random_model(rng, 8)
-        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(2))
+        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(records))
         params = GaParams(seed=11)
-        assert run_batch(recs, m, params, workers=8) == run_batch(recs, m, params)
-        assert requested == [2]
+        assert run_batch(recs, m, params, workers=workers) == run_batch(recs, m, params)
+        return requested
+
+    def test_pool_no_larger_than_chunk_count(self, rng, monkeypatch):
+        # Two records give two chunks, so eight workers must not ask for
+        # eight processes.
+        assert self.pool_sizes(rng, monkeypatch, records=2, workers=8, cpus=8) == [2]
+
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, [])])
+    def test_pool_no_larger_than_cpu_count(self, rng, monkeypatch, cpus, pools):
+        # --workers 500 never forks 500 processes; on one CPU the records
+        # run in this process, without a pool.
+        assert self.pool_sizes(rng, monkeypatch, records=40, workers=500, cpus=cpus) == pools
 
     def test_per_record_streams_are_independent_of_position(self, rng):
         # Record i always uses PCG64(seed ^ i): the same record at the same
@@ -457,3 +640,20 @@ class TestRunBatch:
         full = run_batch(dataset(recs), m, params)
         direct = detect(recs[2], m, params, record_rng(params.seed, 2))
         assert full[2] == direct
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(
+        count=st.integers(1, 9),
+        population_size=st.integers(1, 12),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_worker_counts_give_equal_output(self, count, population_size, seed):
+        # Real pools of up to three processes, allowed three CPUs whatever
+        # the host has; the per-record streams make every split agree.
+        rng = make_rng(seed)
+        m = random_model(rng, 6)
+        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(count))
+        params = GaParams(population_size=population_size, seed=seed)
+        with mock.patch.object(engine.os, "cpu_count", return_value=3):
+            results = [run_batch(recs, m, params, workers=w) for w in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
