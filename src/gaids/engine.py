@@ -12,7 +12,10 @@ How many rows survive each generation depends only on GaParams (`schedule`:
 R records advances together as one (R, P_g, n) float64 gene array. Each
 generation is:
 
-1. one `kernels.batch_fitness` call on the (R * P_g, n) rows;
+1. `kernels.batch_fitness` on the (R * P_g, n) rows against the
+   chromosomes `kernels.candidate_columns` keeps: those that can win for
+   some row, from distance bounds around each record computed once per
+   block (`kernels.record_bounds`);
 2. `select`: a stable argsort of each record's fitness, keeping a prefix;
 3. `crossover`: masked suffix swaps on the row pairs (0,1), (2,3), ...;
 4. `mutate`: a masked single-gene update of each row.
@@ -21,8 +24,9 @@ The masks of all generations are made once per block, from the block's
 draw tape (`decide`), before the loop starts.
 
 No step mixes records, and the kernel returns for each row what a per-row
-scan would, so a record's prediction does not depend on its block or on
-its neighbours. `detect` is the block of one record.
+scan over every chromosome would (the kernels module docstring proves it
+for the pruned scan), so a record's prediction does not depend on its
+block or on its neighbours. `detect` is the block of one record.
 
 The draw tape. All randomness flows through numpy's PCG64. Record i of a
 batch has its own stream PCG64(seed XOR i), so output is identical for any
@@ -230,6 +234,29 @@ def mutate(genes: np.ndarray, hit: np.ndarray, loci: np.ndarray, deltas: np.ndar
     genes[r, s, locus] = np.clip(genes[r, s, locus] + deltas[r, s], 0.0, 1.0)
 
 
+def _fitness(
+    genes: np.ndarray,
+    x: np.ndarray,
+    bounds: tuple[np.ndarray, np.ndarray],
+    model: ChromosomeModel,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fitness and nearest chromosome of each row of the (R, S, n)
+    populations of the records x, flattened, scanning only the kept
+    chromosomes, at most max(S, _BLOCK_ELEMENTS // kept) rows per call."""
+    cols = kernels.candidate_columns(genes, x, *bounds, model.denoms)
+    centroids, sq_norms, denoms = model.centroids[cols], model.sq_norms[cols], model.denoms[cols]
+    rows = genes.reshape(-1, genes.shape[2])
+    step = max(genes.shape[1], _BLOCK_ELEMENTS // cols.size)
+    fitness = np.empty(rows.shape[0])
+    nearest = np.empty(rows.shape[0], dtype=np.intp)
+    for lo in range(0, rows.shape[0], step):
+        part = slice(lo, lo + step)
+        fitness[part], nearest[part] = kernels.batch_fitness(
+            rows[part], centroids, sq_norms, denoms
+        )
+    return fitness, cols[nearest]
+
+
 def _search(
     x: np.ndarray,
     rngs: Sequence[np.random.Generator],
@@ -242,11 +269,10 @@ def _search(
     tape = draw_tape(rngs, params, n)
     genes = initialize_population(x, tape.init_gates, tape.init_noise, params.mutation_rate)
     swaps, hits = decide(tape, params)
+    bounds = kernels.record_bounds(x, model.centroids, model.sq_norms)
     pair = row = 0
     for g, size in enumerate(sizes):
-        fitness, nearest = kernels.batch_fitness(
-            genes.reshape(count * size, n), model.centroids, model.sq_norms, model.denoms
-        )
+        fitness, nearest = _fitness(genes, x, bounds, model)
         if g + 1 == len(sizes):
             break
         genes = select(genes, fitness.reshape(count, size), params.removal_fraction)
@@ -288,10 +314,12 @@ def detect(
 
 # -- batch execution ---------------------------------------------------------
 
-# Records per block: R * P * max(K, n) stays within this many elements. That
-# bounds a block's kernel temporaries, (R * P, K) scores and (R * P, n)
-# candidate rows, which with its tape cost about 100 KB of peak RSS per
-# record at K <= n: 13 records add about 1.5 MB to a process.
+# Records per block: the block's (R, P, n) gene array holds at most this many
+# elements, and so does each kernel call's rows times kept chromosomes, or
+# one population's P * K when a single population keeps more. The kernel
+# temporaries and the tape cost about 100 KB of peak RSS per record: 13
+# records add about 1.5 MB to a process. The block's (R, K) distance bounds
+# add 16 R K bytes, about 0.4 MB at K = 1,916.
 _BLOCK_ELEMENTS = 2**14
 
 _WORKER: dict = {}
@@ -306,7 +334,7 @@ def _init_worker(model: ChromosomeModel, params: GaParams, features: np.ndarray)
 def _detect_range(
     features: np.ndarray, model: ChromosomeModel, params: GaParams, start: int, end: int
 ) -> list[Prediction]:
-    step = max(1, _BLOCK_ELEMENTS // (params.population_size * max(model.centroids.shape)))
+    step = max(1, _BLOCK_ELEMENTS // (params.population_size * model.centroids.shape[1]))
     predictions: list[Prediction] = []
     for lo in range(start, end, step):
         hi = min(lo + step, end)

@@ -33,6 +33,42 @@ float64 machine epsilon.
 
 Values and indices are therefore bit-identical to a per-row scan; only the
 amount of work changes.
+
+The engine's populations are small perturbations of their records, so it
+passes `batch_fitness` only the chromosomes that can win for some row
+(after Elkan's and Hamerly's triangle-inequality bounds for k-means).
+Write d for the unscaled distance sqrt(sum((a-b)^2)), u = eps / 2 and
+score = d / (sqrt(n) denom), denom = spread + eps per chromosome.
+
+5. Bracket (`record_bounds`, once per block of records): the step-1
+   matmul on the (R, n) records gives d2 and the step-2 slack, and
+   lo = sqrt(d2 - slack), hi = sqrt(d2 + slack) (lo is 0 where d2 - slack
+   is not positive). The slack is twice the gap step 2 bounds, and the
+   spare half, at least 8 (n+2) u s, covers the roundings of d2 -+ slack
+   and of the square roots (below 9 u s, as d2 <= 2 s), so
+   lo <= d(x, c) <= hi for the true distance.
+6. Reach (`candidate_columns`, once per generation): delta is the largest
+   d(g, x) over a record's rows, a float sum of squares, then raised by
+   the factor 1 + (n+8) eps and by 2 sqrt(tiny). In any order, such a sum
+   of n non-negative terms is within (n+2) u relative of the true square
+   plus tiny absolute, so delta exceeds every row's true d(g, x)
+   by at least sqrt(tiny). By the triangle inequality every row g of the
+   record then has lo - delta <= d(g, c) - sqrt(tiny) and
+   d(g, c) + sqrt(tiny) <= hi + delta for every chromosome c.
+7. Prune: per record, low = (lo - delta) / denom and
+   high = (hi + delta) / denom (each within 2 u of its real value), and
+   cut = min(high) (1 + (n+16) eps) + tiny. The exact score of step 3 is
+   within (n+8) u / 2 relative of the true score (the sum's (n+2) u,
+   halved by the square root, plus three roundings) and sqrt(tiny) / denom
+   absolute, which the reach already absorbs. So for a chromosome with
+   low > cut and every row of the record, its exact score exceeds the
+   exact score of the chromosome that set the cut by a factor
+   (1 + (n+16) eps) / (1 + (n+14) u) > 1: it is strictly above the row's
+   winner, so it neither wins nor ties. A chromosome is kept when some
+   record of the block keeps it. The kept columns go to `batch_fitness`
+   in ascending order: each row's minimum and every chromosome tied with
+   it are among them, so argmin over the kept columns, mapped back, is
+   the lowest-index minimum over all of them, the same floats and index.
 """
 
 from __future__ import annotations
@@ -46,6 +82,7 @@ _TINY = np.finfo(np.float64).tiny
 # Widens the cut past the ~20 eps by which a lower and an upper squared
 # score of two equal exact scores can disagree.
 _WIDEN = 1.0 + 64 * _EPS
+_SQRT_TINY = math.sqrt(_TINY)
 
 
 def nearest_centroid(x: np.ndarray, centroids: np.ndarray) -> tuple[int, float]:
@@ -57,6 +94,59 @@ def nearest_centroid(x: np.ndarray, centroids: np.ndarray) -> tuple[int, float]:
     d2 = (diff * diff).sum(axis=1)
     idx = int(np.argmin(d2))
     return idx, math.sqrt(float(d2[idx]) / centroids.shape[1])
+
+
+def _screen(
+    points: np.ndarray, centroids: np.ndarray, sq_norms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 1 and 2: the (P, K) matmul squared distances and their slack."""
+    # The screen updates its (P, K) buffers in place: at these sizes a fresh
+    # temporary costs about as much as the arithmetic on it.
+    norms = np.einsum("ij,ij->i", points, points)[:, None] + sq_norms
+    d2 = points @ centroids.T
+    d2 *= -2.0
+    d2 += norms
+    slack = norms
+    slack += _TINY
+    slack *= 8 * (centroids.shape[1] + 2) * _EPS
+    return d2, slack
+
+
+def record_bounds(
+    x: np.ndarray, centroids: np.ndarray, sq_norms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(R, K) lower and upper bounds on the distance sqrt(sum((x-c)^2)) from
+    each record of x (R, n) to each row of `centroids` (step 5)."""
+    d2, slack = _screen(x, centroids, sq_norms)
+    upper = np.sqrt(d2 + slack)
+    lower = d2
+    lower -= slack
+    np.maximum(lower, 0.0, out=lower)
+    np.sqrt(lower, out=lower)
+    return lower, upper
+
+
+def candidate_columns(
+    genes: np.ndarray,
+    x: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    denoms: np.ndarray,
+) -> np.ndarray:
+    """Ascending indices of the chromosomes that can win or tie for some row
+    of the (R, S, n) populations of the records x (R, n), whose distance
+    bounds `record_bounds` gave as lower and upper (steps 6 and 7)."""
+    n = x.shape[1]
+    diff = genes - x[:, None, :]
+    reach = np.sqrt(np.einsum("rsn,rsn->rs", diff, diff).max(axis=1, keepdims=True))
+    reach *= 1.0 + (n + 8) * _EPS
+    reach += 2 * _SQRT_TINY
+    high = upper + reach
+    high /= denoms
+    cut = high.min(axis=1, keepdims=True) * (1.0 + (n + 16) * _EPS) + _TINY
+    low = lower - reach
+    low /= denoms
+    return np.flatnonzero((low <= cut).any(axis=0))
 
 
 def batch_fitness(
@@ -74,15 +164,7 @@ def batch_fitness(
     indices), ties to the lowest index, equal bit for bit to a per-row scan.
     """
     n = centroids.shape[1]
-    # The screen updates its (P, K) buffers in place: at these sizes a fresh
-    # temporary costs about as much as the arithmetic on it.
-    norms = np.einsum("ij,ij->i", genes, genes)[:, None] + sq_norms
-    d2 = genes @ centroids.T
-    d2 *= -2.0
-    d2 += norms
-    slack = norms
-    slack += _TINY
-    slack *= 8 * (n + 2) * _EPS
+    d2, slack = _screen(genes, centroids, sq_norms)
     weights = 1.0 / (n * denoms * denoms)
     upper = d2 + slack
     upper *= weights
@@ -92,9 +174,11 @@ def batch_fitness(
     cut = upper.min(axis=1, keepdims=True) * _WIDEN + _TINY
     rows, cols = np.divmod(np.flatnonzero(lower <= cut), centroids.shape[0])
 
-    diff = centroids[cols] - genes[rows]
+    diff = centroids[cols]
+    diff -= genes[rows]
+    diff *= diff
     z = upper
     z.fill(np.inf)
-    z[rows, cols] = np.sqrt((diff * diff).sum(axis=1) / n) / denoms[cols]
+    z[rows, cols] = np.sqrt(diff.sum(axis=1) / n) / denoms[cols]
     idx = z.argmin(axis=1)
     return z[np.arange(idx.shape[0]), idx], idx

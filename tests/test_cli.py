@@ -590,14 +590,14 @@ def test_fuzzed_files_exit_with_documented_codes(fuzz_files, target, edits):
     if target == "model":
         bad_model = tmp / "fuzzed.model"
         bad_model.write_text(mutate(model_path.read_text(), " ", edits), encoding="utf-8")
-        code = quiet_main("detect", "--model", str(bad_model), "--test-file", str(data))
-        assert code in documented
+        for command in ("detect", "evaluate"):
+            assert quiet_main(command, "--model", str(bad_model), "--test-file", str(data)) in documented
         return
 
     bad_data = tmp / "fuzzed.kdd"
     bad_data.write_text(mutate(data.read_text(), ",", edits), encoding="utf-8")
-    code = quiet_main("detect", "--model", str(model_path), "--test-file", str(bad_data))
-    assert code in documented
+    for command in ("detect", "evaluate"):
+        assert quiet_main(command, "--model", str(model_path), "--test-file", str(bad_data)) in documented
     for mode in ("--strict", "--lenient"):
         trained = tmp / "trained.model"
         trained.unlink(missing_ok=True)

@@ -548,16 +548,27 @@ class TestDetect:
         crossover_rate=st.floats(0.0, 1.0),
         mutation_rate=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**64 - 1),
+        chromosomes=st.integers(10, 60),
+        near_copies=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=10),
     )
     def test_any_block_partition_matches_detect(
-        self, cuts, population_size, crossover_rate, mutation_rate, seed
+        self, cuts, population_size, crossover_rate, mutation_rate, seed, chromosomes, near_copies
     ):
         # Twelve records split into blocks at random cut points: each block
         # runs as one lockstep search, and every record gets what detect
-        # gives it alone from the same stream.
+        # gives it alone from the same stream. Records near different
+        # chromosomes keep different columns within one block, and
+        # near-duplicate chromosomes tie or almost tie.
         rng = make_rng(seed)
-        m = random_model(rng, 6)
-        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(12))
+        m = random_model(rng, chromosomes)
+        centroids = m.centroids.copy()
+        for src, dst in near_copies:
+            offset = rng.choice([-1e-9, 0.0, 1e-9], NUM_FEATURES)
+            centroids[dst % chromosomes] = np.clip(centroids[src % chromosomes] + offset, 0.0, 1.0)
+        m = build_model(centroids, m.labels, spreads=m.spreads)
+        near = centroids[rng.integers(0, chromosomes, 6)] + rng.normal(0.0, 0.02, (6, NUM_FEATURES))
+        points = np.vstack([np.clip(near, 0.0, 1.0), rng.random((6, NUM_FEATURES))])
+        recs = dataset(record(p) for p in points[rng.permutation(12)])
         params = GaParams(
             population_size=population_size,
             crossover_rate=crossover_rate,
@@ -570,6 +581,36 @@ class TestDetect:
             x = m.normalization.transform(recs.features[lo:hi])
             blocked += engine._search(x, [record_rng(seed, i) for i in range(lo, hi)], m, params)
         alone = [detect(rec, m, params, record_rng(seed, i)) for i, rec in enumerate(recs)]
+        assert blocked == alone
+
+    @pytest.mark.parametrize("identical", [True, False])
+    def test_blocks_keeping_every_column_scan_bounded_pairs(self, monkeypatch, identical):
+        # Identical chromosomes all tie, and sigma 3 at rate 1 moves rows
+        # across the cube: either way no chromosome can be pruned. The
+        # block's scan is then split into calls of at most
+        # max(2^14, P * K) pairs, and each record still gets what detect
+        # gives it alone.
+        rng = make_rng(31)
+        k = 600
+        m = random_model(rng, k)
+        if identical:
+            params = GaParams(seed=5)
+            m = build_model(np.tile(m.centroids[0], (k, 1)), m.labels, spreads=np.full(k, 0.1))
+        else:
+            params = GaParams(seed=5, mutation_sigma=3.0, mutation_rate=1.0, crossover_rate=1.0)
+        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(20))
+        scans = []
+        scan = kernels.batch_fitness
+
+        def counting(genes, centroids, sq_norms, denoms):
+            scans.append((genes.shape[0], centroids.shape[0]))
+            return scan(genes, centroids, sq_norms, denoms)
+
+        monkeypatch.setattr(kernels, "batch_fitness", counting)
+        blocked = engine._detect_range(recs.features, m, params, 0, len(recs))
+        assert max(cols for _, cols in scans) == k
+        assert max(rows * cols for rows, cols in scans) <= max(2**14, params.population_size * k)
+        alone = [detect(rec, m, params, record_rng(params.seed, i)) for i, rec in enumerate(recs)]
         assert blocked == alone
 
 

@@ -188,3 +188,87 @@ def fitness_cases(draw):
 def test_batch_fitness_equals_loop_property(case):
     genes, centroids, spreads = case
     assert_matches_loop(genes, centroids, spreads)
+
+
+def assert_pruned_matches_loop(x, populations, centroids, spreads):
+    """The engine's pruned scan, bounds around the (R, n) records x taken
+    once and then for each (R, S, n) population in turn batch_fitness on the
+    kept columns only, equals the reference loop over every chromosome bit
+    for bit. Returns the kept column counts."""
+    m = build_model(centroids, ["normal"] * len(centroids), spreads=spreads)
+    bounds = kernels.record_bounds(x, m.centroids, m.sq_norms)
+    kept = []
+    for genes in populations:
+        cols = kernels.candidate_columns(genes, x, *bounds, m.denoms)
+        rows = genes.reshape(-1, x.shape[1])
+        values, idx = kernels.batch_fitness(rows, m.centroids[cols], m.sq_norms[cols], m.denoms[cols])
+        expected_values, expected_idx = loop_fitness(rows, centroids, spreads, SPREAD_EPSILON)
+        assert np.array_equal(values, expected_values)
+        assert np.array_equal(cols[idx], expected_idx)
+        kept.append(cols.size)
+    return kept
+
+
+def test_bounds_bracket_the_distance(rng):
+    centroids = rng.random((50, 38))
+    x = np.vstack([centroids[[4, 4]], rng.random((3, 38))])
+    m = build_model(centroids, ["normal"] * 50)
+    lower, upper = kernels.record_bounds(x, m.centroids, m.sq_norms)
+    exact = np.sqrt(((x[:, None, :] - centroids[None]) ** 2).sum(axis=2))
+    assert np.all(lower <= exact) and np.all(exact <= upper)
+    assert lower[0, 4] == lower[1, 4] == 0.0
+    assert np.all(upper - lower < 1e-5)
+
+
+def test_close_rows_keep_only_the_reachable_chromosomes(rng):
+    # Rows within 1e-3 of a record that sits on chromosome 17: every other
+    # chromosome is far beyond the reach, and none of them is scanned.
+    centroids = rng.random((200, 38))
+    x = centroids[[17]]
+    genes = np.clip(x[:, None, :] + rng.uniform(-1e-3, 1e-3, (1, 12, 38)), 0.0, 1.0)
+    genes[0, 0] = x[0]
+    spreads = np.full(200, 0.05)
+    assert assert_pruned_matches_loop(x, [genes], centroids, spreads) == [1]
+
+
+@st.composite
+def pruning_cases(draw):
+    """Records in the unit cube and chromosomes on the coarse GRID (ties,
+    repeated rows and spread-0 singletons are common), then successive
+    populations around the records whose offsets grow call by call. Row 0
+    of each population is its record; the others are the record itself, a
+    point at the call's distance from it, an exact chromosome hit or a
+    corner of the cube."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 30))
+    r = draw(st.integers(1, 3))
+    s = draw(st.integers(1, 10))
+    centroids = draw(arrays(np.float64, (k, n), elements=GRID))
+    for src in draw(st.lists(st.integers(0, k - 1), max_size=k)):
+        centroids[draw(st.integers(0, k - 1))] = centroids[src]
+    spreads = draw(arrays(np.float64, k, elements=st.sampled_from([0.0, 0.01, 0.2])))
+    x = draw(arrays(np.float64, (r, n), elements=st.one_of(GRID, st.floats(0.0, 1.0))))
+    for i in draw(st.lists(st.integers(0, r - 1), max_size=r)):
+        x[i] = centroids[draw(st.integers(0, k - 1))]
+    distances = draw(
+        st.lists(st.sampled_from([0.0, 1e-12, 1e-6, 0.01, 0.1, 0.5, 3.0]), min_size=1, max_size=4)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    populations = []
+    for distance in sorted(distances):
+        kinds = rng.integers(0, 4 if rng.random() < 0.5 else 2, size=(r, s))
+        kinds[:, 0] = 0
+        genes = np.repeat(x[:, None, :], s, axis=1)
+        step = rng.uniform(-1.0, 1.0, (r, s, n)) * (distance / math.sqrt(n))
+        genes[kinds == 1] = np.clip(genes + step, 0.0, 1.0)[kinds == 1]
+        hits = centroids[rng.integers(0, k, (r, s))]
+        genes[kinds == 2] = hits[kinds == 2]
+        genes[kinds == 3] = rng.integers(0, 2, (r, s, n))[kinds == 3]
+        populations.append(genes)
+    return x, populations, centroids, spreads
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pruning_cases())
+def test_pruned_scan_equals_loop_property(case):
+    assert_pruned_matches_loop(*case)
