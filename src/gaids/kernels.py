@@ -143,10 +143,12 @@ def candidate_columns(
     reach += 2 * _SQRT_TINY
     high = upper + reach
     high /= denoms
-    cut = high.min(axis=1, keepdims=True) * (1.0 + (n + 16) * _EPS) + _TINY
-    low = lower - reach
+    cut = high.min(axis=1, keepdims=True)
+    cut *= 1.0 + (n + 16) * _EPS
+    cut += _TINY
+    low = np.subtract(lower, reach, out=high)
     low /= denoms
-    return np.flatnonzero((low <= cut).any(axis=0))
+    return np.nonzero((low <= cut).any(axis=0))[0]
 
 
 def batch_fitness(
