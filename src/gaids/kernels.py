@@ -38,7 +38,7 @@ The engine's populations are small perturbations of their records, so it
 passes `batch_fitness` only the chromosomes that can win for some row
 (after Elkan's and Hamerly's triangle-inequality bounds for k-means).
 Write d for the unscaled distance sqrt(sum((a-b)^2)), u = eps / 2 and
-score = d / (sqrt(n) denom), denom = spread + eps per chromosome.
+score = d / (sqrt(n) denom), denom = spread + 1e-6 per chromosome.
 
 5. Bracket (`record_bounds`, once per block of records): the step-1
    matmul on the (R, n) records gives d2 and the step-2 slack, and
@@ -56,13 +56,14 @@ score = d / (sqrt(n) denom), denom = spread + eps per chromosome.
    record then has lo - delta <= d(g, c) - sqrt(tiny) and
    d(g, c) + sqrt(tiny) <= hi + delta for every chromosome c.
 7. Prune: per record, low = (lo - delta) / denom and
-   high = (hi + delta) / denom (each within 2 u of its real value), and
+   high = (hi + delta) / denom (each within 2 u relative of its real
+   value), and
    cut = min(high) (1 + (n+16) eps) + tiny. The exact score of step 3 is
    within (n+8) u / 2 relative of the true score (the sum's (n+2) u,
    halved by the square root, plus three roundings) and sqrt(tiny) / denom
    absolute, which the reach already absorbs. So for a chromosome with
    low > cut and every row of the record, its exact score exceeds the
-   exact score of the chromosome that set the cut by a factor
+   exact score of the chromosome that set the cut by a factor of at least
    (1 + (n+16) eps) / (1 + (n+14) u) > 1: it is strictly above the row's
    winner, so it neither wins nor ties. A chromosome is kept when some
    record of the block keeps it. The kept columns go to `batch_fitness`
