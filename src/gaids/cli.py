@@ -1,9 +1,9 @@
 """Command-line entry point: train, detect, evaluate, synth.
 
-train, detect and evaluate share one set of flags. Option precedence is
-CLI flag > config file > built-in default. The config file is flat
-key=value text with keys matching the long flag names. synth takes only
-its own flags and --seed.
+train, detect and evaluate share the settings of one table, SETTINGS. Each
+is a --name flag (strict is the --strict/--lenient pair) and a key of the
+flat key=value config file. Precedence is CLI flag > config file >
+built-in default. synth takes only its own flags and --seed.
 
 Exit codes: 0 success, 2 config/usage error, a file that cannot be read
 or written (OSError) or settings whose arrays do not fit in memory
@@ -39,35 +39,39 @@ EXIT_MODEL = 4
 _GA_FIELDS = dataclasses.fields(engine.GaParams)
 _GA_TYPES = typing.get_type_hints(engine.GaParams)
 
-# Built-in defaults for everything a config file may override.
-DEFAULTS = {
-    **{f.name: f.default for f in _GA_FIELDS},
-    "workers": 1,
-    "strict": True,
-    "report": "table",
-    "train_file": None,
-    "test_file": None,
-    "model": None,
-}
-
-_CONFIG_TYPES = {
-    **_GA_TYPES,
-    "workers": int,
-    "strict": "bool",
-    "report": str,
-    "train_file": str,
-    "test_file": str,
-    "model": str,
-}
-
 
 def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
+    low = text.lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(text)
+
+
+def _one_of(*names: str):
+    """Reader of a setting that takes one of names; --help lists them."""
+
+    def choice(text: str) -> str:
+        if text not in names:
+            raise ValueError(text)
+        return text
+
+    choice.choices = names
+    return choice
+
+
+# The GaParams fields and six run settings: name -> (built-in default,
+# reader of the setting's text, for its flag and its config key).
+SETTINGS = {
+    **{f.name: (f.default, _GA_TYPES[f.name]) for f in _GA_FIELDS},
+    "workers": (1, int),
+    "strict": (True, _parse_bool),
+    "report": ("table", _one_of("table", "kv")),
+    "train_file": (None, str),
+    "test_file": (None, str),
+    "model": (None, str),
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -88,27 +92,21 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, raw = stripped.partition("=")
         dest = key.strip().replace("-", "_")
-        if dest not in _CONFIG_TYPES:
+        if dest not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key.strip()!r}")
-        caster = _CONFIG_TYPES[dest]
         raw = raw.strip()
         try:
-            if caster == "bool":
-                values[dest] = _parse_bool(raw)
-            else:
-                values[dest] = caster(raw)
+            values[dest] = SETTINGS[dest][1](raw)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value {raw!r} for {key.strip()!r}") from None
-    if values.get("report") not in (None, "table", "kv"):
-        raise ConfigError(f"report must be 'table' or 'kv', got {values['report']!r}")
     return values
 
 
 def _merged(args: argparse.Namespace) -> dict:
-    values = dict(DEFAULTS)
+    values = {name: default for name, (default, _) in SETTINGS.items()}
     if args.config:
         values.update(load_config_file(args.config))
-    for dest in DEFAULTS:
+    for dest in SETTINGS:
         cli_value = getattr(args, dest)
         if cli_value is not None:
             values[dest] = cli_value
@@ -143,12 +141,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     records, skipped = ingest.load_file(path, strict=values["strict"])
     if not records:
         raise EmptyDataset(f"no usable records in {path}")
-    out_path = args.model_out or values["model"]
-    if not out_path:
-        raise ConfigError("missing model output path (--model or --model-out)")
+    if not values["model"]:
+        raise ConfigError("missing model output path (--model)")
     stats = ingest.fit_normalization(records)
     trained = model.precalculate(records, params.range, stats)
-    model.save_model(trained, out_path)
+    model.save_model(trained, values["model"])
 
     summary = ingest.summarize(records)
     print(summary.to_kv())
@@ -163,16 +160,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_detect(args: argparse.Namespace) -> int:
+def _run_test_file(args: argparse.Namespace, require_label: bool):
+    """The settings, the test file's records and skip count, and the
+    prediction for each record; detect and evaluate differ only in output."""
     values = _merged(args)
     params = _ga_params(values)
     workers = _workers(values)
     trained = model.load_model(_require_file(values["model"], "--model"))
     path = _require_file(values["test_file"], "--test-file")
     records, skipped = ingest.load_file(
-        path, strict=values["strict"], require_label=False
+        path, strict=values["strict"], require_label=require_label
     )
-    predictions = engine.run_batch(records, trained, params, workers=workers)
+    return values, records, skipped, engine.run_batch(records, trained, params, workers=workers)
+
+
+def cmd_detect(args: argparse.Namespace) -> int:
+    _, _, skipped, predictions = _run_test_file(args, require_label=False)
     for i, p in enumerate(predictions):
         print(f"{i},{p.attack_name},{p.category},{p.survivor_fitness!r},{p.generations_run}")
     if skipped:
@@ -181,13 +184,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    values = _merged(args)
-    params = _ga_params(values)
-    workers = _workers(values)
-    trained = model.load_model(_require_file(values["model"], "--model"))
-    path = _require_file(values["test_file"], "--test-file")
-    records, skipped = ingest.load_file(path, strict=values["strict"])
-    predictions = engine.run_batch(records, trained, params, workers=workers)
+    values, records, skipped, predictions = _run_test_file(args, require_label=True)
     matrix = metrics.ConfusionMatrix.from_pairs(
         (actual, pred.category) for actual, pred in zip(records.categories, predictions)
     )
@@ -225,22 +222,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
-    for f in _GA_FIELDS:
-        flag = "--" + f.name.replace("_", "-")
-        common.add_argument(flag, dest=f.name, type=_GA_TYPES[f.name], default=None)
-    common.add_argument("--workers", type=int, default=None)
-    common.add_argument("--strict", dest="strict", action="store_true", default=None)
-    common.add_argument("--lenient", dest="strict", action="store_false", default=None)
-    common.add_argument("--report", choices=("table", "kv"), default=None)
-    common.add_argument("--train-file", dest="train_file", default=None)
-    common.add_argument("--test-file", dest="test_file", default=None)
-    common.add_argument("--model", default=None)
+    for name, (_, read) in SETTINGS.items():
+        if name == "strict":
+            common.add_argument("--strict", dest="strict", action="store_true", default=None)
+            common.add_argument("--lenient", dest="strict", action="store_false", default=None)
+        else:
+            common.add_argument("--" + name.replace("_", "-"), dest=name, type=read,
+                                choices=getattr(read, "choices", None), default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", parents=[common], help="fit and persist a model")
-    p_train.add_argument("--model-out", dest="model_out", default=None,
-                         help="output model path (defaults to --model)")
     p_train.set_defaults(func=cmd_train)
 
     p_detect = sub.add_parser("detect", parents=[common], help="classify records")
@@ -250,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_synth = sub.add_parser("synth", help="generate synthetic data")
-    p_synth.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+    p_synth.add_argument("--seed", type=int, default=SETTINGS["seed"][0])
     p_synth.add_argument("--clusters", type=int, default=5)
     p_synth.add_argument("--points-per-cluster", dest="points_per_cluster", type=int, default=100)
     p_synth.add_argument("--separation", type=float, default=0.5)

@@ -140,10 +140,14 @@ class TestTrainCommand:
         tmp, train, _ = workspace
         code, _, err = run_cli(
             capsys, "train", "--train-file", str(train),
-            "--model-out", str(tmp / "no-such-dir" / "m.model"),
+            "--model", str(tmp / "no-such-dir" / "m.model"),
         )
         assert code == EXIT_CONFIG
         assert err.startswith("error: ")
+        # train writes to --model; there is no second flag for the path.
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--train-file", str(train), "--model-out", str(tmp / "m.model")])
+        assert exc.value.code == EXIT_CONFIG
 
     def test_malformed_strict_exit_parse(self, tmp_path, capsys):
         bad = tmp_path / "bad.kdd"
@@ -606,3 +610,97 @@ def test_fuzzed_files_exit_with_documented_codes(fuzz_files, target, edits):
         if code == EXIT_OK:
             # Whatever training accepts, detection accepts as a model.
             assert quiet_main("detect", "--model", str(trained), "--test-file", str(data)) == EXIT_OK
+
+
+# -- shared settings drawn at random through the whole CLI --------------------
+
+# Setting -> (valid texts, invalid texts). --workers stays at most 2 and
+# --population-size at most 64, so no example starts many processes or
+# allocates much memory.
+SETTING_TEXTS = {
+    "range": (["0", "0.125", "0.3"], ["-1", "nan", "inf", "-inf", "x"]),
+    "crossover-rate": (["0", "0.5", "1"], ["1.5", "-0.1", "nan", "x"]),
+    "mutation-rate": (["0", "0.35", "1"], ["2", "-1", "inf", "x"]),
+    "population-size": (["1", "8", "64"], ["0", "-3", "1.5", "x"]),
+    "removal-fraction": (["0.25", "0.75"], ["0", "1", "1.5", "nan", "x"]),
+    "max-generations": (["1", "64"], ["0", "-2", "x"]),
+    "mutation-sigma": (["0", "0.05", "1"], ["-0.5", "nan", "inf", "x"]),
+    "seed": (["0", "7", str(2**64 - 1)], [str(2**64), "-1", "x"]),
+    "workers": (["1", "2"], ["0", "-1", "x"]),
+    "report": (["table", "kv"], ["html", "TABLE", ""]),
+    "strict": (["true", "false"], ["maybe", "2"]),
+}
+
+
+@st.composite
+def shared_settings(draw):
+    """1-3 distinct settings as (name, text, valid, source); source is "flag"
+    or "config". strict's flags are --strict/--lenient, so a bad strict text
+    can only come from a config file."""
+    settings = []
+    for name in draw(st.lists(st.sampled_from(sorted(SETTING_TEXTS)), min_size=1, max_size=3, unique=True)):
+        valid = draw(st.booleans())
+        text = draw(st.sampled_from(SETTING_TEXTS[name][0 if valid else 1]))
+        source = "config" if name == "strict" and not valid else draw(st.sampled_from(["flag", "config"]))
+        settings.append((name, text, valid, source))
+    return settings
+
+
+def run_with_settings(tmp, argv, settings, shadow=False):
+    """(exit code, stdout, stderr) of cli.main with each setting given as a
+    flag or a config key. With shadow, the config file also sets every
+    flag-set setting to another valid text, which the flag must override."""
+    argv, lines = list(argv), []
+    for name, text, _, source in settings:
+        if source == "config":
+            lines.append(f"{name}={text}")
+            continue
+        argv.append(f"--{name}={text}" if name != "strict" else
+                    "--strict" if text == "true" else "--lenient")
+        if shadow:
+            lines.append(f"{name}={next(t for t in SETTING_TEXTS[name][0] if t != text)}")
+    if lines:
+        config = tmp / "settings.conf"
+        config.write_text("\n".join(lines) + "\n")
+        argv += ["--config", str(config)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(settings=shared_settings())
+@example(settings=[("seed", str(2**64), False, "flag")])
+@example(settings=[("report", "html", False, "config"), ("workers", "2", True, "flag")])
+@example(settings=[("report", "kv", True, "flag"), ("population-size", "64", True, "config")])
+def test_shared_settings_exit_codes_and_sources(fuzz_files, settings):
+    tmp, data, model_path = fuzz_files
+    expected = EXIT_OK if all(valid for _, _, valid, _ in settings) else EXIT_CONFIG
+    swapped = [
+        (name, text, valid, "flag" if source == "config" and (valid or name != "strict") else "config")
+        for name, text, valid, source in settings
+    ]
+    for command in ("detect", "evaluate"):
+        argv = [command, "--model", str(model_path), "--test-file", str(data)]
+        code, out, err = run_with_settings(tmp, argv, settings)
+        assert code == expected, err
+        assert "Traceback" not in err
+        if code == EXIT_CONFIG:
+            assert out == ""
+            assert err.startswith(("error: ", "usage:"))
+        # A text gives the same run from either source, and a flag wins
+        # over the config file.
+        assert run_with_settings(tmp, argv, swapped)[:2] == (code, out)
+        assert run_with_settings(tmp, argv, settings, shadow=True)[:2] == (code, out)
+
+
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+def test_help_lists_report_choices(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--report {table,kv}" in capsys.readouterr().out
