@@ -102,7 +102,9 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _merged(args: argparse.Namespace) -> dict:
+def _settings(args: argparse.Namespace) -> tuple[dict, engine.GaParams]:
+    """The merged and checked settings of train, detect or evaluate, and
+    their GaParams."""
     values = {name: default for name, (default, _) in SETTINGS.items()}
     if args.config:
         values.update(load_config_file(args.config))
@@ -110,20 +112,12 @@ def _merged(args: argparse.Namespace) -> dict:
         cli_value = getattr(args, dest)
         if cli_value is not None:
             values[dest] = cli_value
-    return values
-
-
-def _ga_params(values: dict) -> engine.GaParams:
-    try:
-        return engine.GaParams(**{f.name: values[f.name] for f in _GA_FIELDS})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _workers(values: dict) -> int:
     if values["workers"] < 1:
         raise ConfigError(f"workers must be >= 1, got {values['workers']}")
-    return values["workers"]
+    try:
+        return values, engine.GaParams(**{f.name: values[f.name] for f in _GA_FIELDS})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _require_file(path, what: str) -> str:
@@ -135,14 +129,13 @@ def _require_file(path, what: str) -> str:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    values = _merged(args)
-    params = _ga_params(values)
+    values, params = _settings(args)
     path = _require_file(values["train_file"], "--train-file")
+    if not values["model"]:
+        raise ConfigError("missing model output path (--model)")
     records, skipped = ingest.load_file(path, strict=values["strict"])
     if not records:
         raise EmptyDataset(f"no usable records in {path}")
-    if not values["model"]:
-        raise ConfigError("missing model output path (--model)")
     stats = ingest.fit_normalization(records)
     trained = model.precalculate(records, params.range, stats)
     model.save_model(trained, values["model"])
@@ -163,15 +156,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _run_test_file(args: argparse.Namespace, require_label: bool):
     """The settings, the test file's records and skip count, and the
     prediction for each record; detect and evaluate differ only in output."""
-    values = _merged(args)
-    params = _ga_params(values)
-    workers = _workers(values)
-    trained = model.load_model(_require_file(values["model"], "--model"))
+    values, params = _settings(args)
+    model_path = _require_file(values["model"], "--model")
     path = _require_file(values["test_file"], "--test-file")
+    trained = model.load_model(model_path)
     records, skipped = ingest.load_file(
         path, strict=values["strict"], require_label=require_label
     )
-    return values, records, skipped, engine.run_batch(records, trained, params, workers=workers)
+    predictions = engine.run_batch(records, trained, params, workers=values["workers"])
+    return values, records, skipped, predictions
 
 
 def cmd_detect(args: argparse.Namespace) -> int:

@@ -26,7 +26,9 @@ draw tape (`decide`), before the loop starts.
 No step mixes records, and the kernel returns for each row what a per-row
 scan over every chromosome would (the kernels module docstring proves it
 for the pruned scan), so a record's prediction does not depend on its
-block or on its neighbours. `detect` is the block of one record.
+block or on its neighbours. `detect` is the block of one record, and
+`run_batch` cuts a batch into blocks once: the serial path, the pool and
+each pool task carry whole blocks.
 
 The draw tape. All randomness flows through numpy's PCG64. Record i of a
 batch has its own stream PCG64(seed XOR i), so output is identical for any
@@ -108,13 +110,9 @@ class Prediction:
     generations_run: int
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def record_rng(seed: int, index: int) -> np.random.Generator:
     """Independent per-record stream; XOR keeps parallel runs order-free."""
-    return make_rng((seed ^ index) % _MAX_SEED)
+    return np.random.Generator(np.random.PCG64((seed ^ index) % _MAX_SEED))
 
 
 def _survivors(size: int, removal_fraction: float) -> int:
@@ -270,18 +268,16 @@ def _search(
     genes = initialize_population(x, tape.init_gates, tape.init_noise, params.mutation_rate)
     swaps, hits = decide(tape, params)
     bounds = kernels.record_bounds(x, model.centroids, model.sq_norms)
+    fitness, nearest = _fitness(genes, x, bounds, model)
     pair = row = 0
-    for g, size in enumerate(sizes):
-        fitness, nearest = _fitness(genes, x, bounds, model)
-        if g + 1 == len(sizes):
-            break
-        genes = select(genes, fitness.reshape(count, size), params.removal_fraction)
-        size = sizes[g + 1]
+    for size in sizes[1:]:
+        genes = select(genes, fitness.reshape(count, -1), params.removal_fraction)
         pairs = slice(pair, pair + size // 2)
         crossover(genes, swaps[:, pairs])
         rows = slice(row, row + size)
         mutate(genes, hits[:, rows], tape.loci[:, rows], tape.deltas[:, rows])
         pair, row = pairs.stop, rows.stop
+        fitness, nearest = _fitness(genes, x, bounds, model)
 
     fitness = fitness.reshape(count, -1)
     nearest = nearest.reshape(count, -1)
@@ -307,72 +303,63 @@ def detect(
 ) -> Prediction:
     """Classify one record by shrinking a mutated population to a survivor."""
     if rng is None:
-        rng = make_rng(params.seed)
+        rng = record_rng(params.seed, 0)
     x = model.normalization.transform(record.features[None, :])
     return _search(x, [rng], model, params)[0]
 
 
 # -- batch execution ---------------------------------------------------------
 
-# Records per block: the block's (R, P, n) gene array holds at most this many
-# elements, and so does each kernel call's rows times kept chromosomes, or
-# one population's P * K when a single population keeps more. The kernel
-# temporaries and the tape cost about 100 KB of peak RSS per record: 13
-# records add about 1.5 MB to a process. The block's (R, K) distance bounds
-# add 16 R K bytes, about 0.4 MB at K = 1,916.
+# Records per block, R = max(1, _BLOCK_ELEMENTS // (P * n)), the unit of
+# work of the serial path, the pool and each pool task: the block's (R, P, n)
+# gene array holds at most this many elements, and so does each kernel call's
+# rows times kept chromosomes, or one population's P * K when a single
+# population keeps more. The kernel temporaries and the tape cost about 100 KB
+# of peak RSS per record: 13 records add about 1.5 MB to a process. The
+# block's (R, K) distance bounds add 16 R K bytes, about 0.4 MB at K = 1,916.
 _BLOCK_ELEMENTS = 2**14
 
+# The batch _detect_block reads (model, params, features): set by each pool
+# process's initializer, or by run_batch around a serial run, so two threads
+# of one process must not run batches at once.
 _WORKER: dict = {}
 
 
 def _init_worker(model: ChromosomeModel, params: GaParams, features: np.ndarray):
-    _WORKER["model"] = model
-    _WORKER["params"] = params
-    _WORKER["features"] = features
+    _WORKER.update(model=model, params=params, features=features)
 
 
-def _detect_range(
-    features: np.ndarray, model: ChromosomeModel, params: GaParams, start: int, end: int
-) -> list[Prediction]:
-    step = max(1, _BLOCK_ELEMENTS // (params.population_size * model.centroids.shape[1]))
-    predictions: list[Prediction] = []
-    for lo in range(start, end, step):
-        hi = min(lo + step, end)
-        x = model.normalization.transform(features[lo:hi])
-        rngs = [record_rng(params.seed, i) for i in range(lo, hi)]
-        predictions += _search(x, rngs, model, params)
-    return predictions
-
-
-def _run_range(bounds: tuple[int, int]) -> list[Prediction]:
-    return _detect_range(_WORKER["features"], _WORKER["model"], _WORKER["params"], *bounds)
+def _detect_block(lo: int, hi: int) -> list[Prediction]:
+    """Records lo..hi-1 of the batch, searched as one block."""
+    model, params = _WORKER["model"], _WORKER["params"]
+    x = model.normalization.transform(_WORKER["features"][lo:hi])
+    return _search(x, [record_rng(params.seed, i) for i in range(lo, hi)], model, params)
 
 
 def run_batch(
-    records: Dataset,
-    model: ChromosomeModel,
-    params: GaParams,
-    workers: int = 1,
+    records: Dataset, model: ChromosomeModel, params: GaParams, workers: int = 1
 ) -> list[Prediction]:
-    """Detect every record. Per-record RNG streams make the result identical
-    for any worker count; the pool, at most one process per CPU, receives
-    the one feature matrix."""
-    if not len(records):
-        return []
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1:
-        return _detect_range(records.features, model, params, 0, len(records))
-    chunk = max(1, math.ceil(len(records) / (workers * 4)))
-    bounds = [
-        (start, min(start + chunk, len(records)))
-        for start in range(0, len(records), chunk)
-    ]
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(bounds)),
-        initializer=_init_worker,
-        initargs=(model, params, records.features),
-    ) as pool:
-        results: list[Prediction] = []
-        for part in pool.map(_run_range, bounds):
-            results.extend(part)
-    return results
+    """Detect every record, in blocks of R records. Per-record RNG streams
+    make the result identical for any worker count. The pool has at most one
+    process per CPU and per block, so a batch of one block runs in this
+    process; each pool process receives the one feature matrix once."""
+    step = max(1, _BLOCK_ELEMENTS // (params.population_size * model.centroids.shape[1]))
+    starts = range(0, len(records), step)
+    ends = [min(lo + step, len(records)) for lo in starts]
+    processes = min(workers, os.cpu_count() or 1, len(starts))
+    state = (model, params, records.features)
+    if processes <= 1:
+        _init_worker(*state)
+        try:
+            parts = list(map(_detect_block, starts, ends))
+        finally:
+            _WORKER.clear()
+    else:
+        # About four tasks per process: the last tasks still spread the load
+        # across processes, while the per-task round trips stay few. One
+        # block per task was about 3% slower on the benchmark's few-prototypes
+        # batch (47 blocks, 2 processes on a 2-vCPU VM).
+        chunksize = math.ceil(len(starts) / (4 * processes))
+        with ProcessPoolExecutor(processes, initializer=_init_worker, initargs=state) as pool:
+            parts = list(pool.map(_detect_block, starts, ends, chunksize=chunksize))
+    return [p for part in parts for p in part]

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from gaids import engine, ingest, model
+
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(BENCH))
 
@@ -87,3 +89,30 @@ def test_model_layer_metrics_match_the_model(job, caplog):
     assert pairs is not None
     rows, seconds = m["kernels.batch_fitness.rows"], m["kernels.batch_fitness.s"]
     assert pairs == pytest.approx(rows * k / seconds)
+
+
+# The benchmark's seed-5 prediction digests (`prediction_digest` in its
+# output). A change that alters predictions on purpose re-records them.
+DIGESTS = {
+    "kdd-train": "sha256:df0da65d572e8870",
+    "few-prototypes": "sha256:fb34c5f097fdd4e3",
+    "many-prototypes": "sha256:5e792641f5d13b47",
+}
+
+
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_seed5_prediction_digest(tmp_path, caplog, name):
+    # Train on the workload's seed-5 files and detect its checked records
+    # with its worker count, as `gaids train` and `gaids detect` do.
+    wl = run.WORKLOADS[name]
+    data = kddgen.generate(wl.spec, seed=5)
+    train, check, model_path = tmp_path / "train", tmp_path / "check", tmp_path / "model"
+    kddgen.write_lines(train, data.train_lines)
+    kddgen.write_lines(check, data.test_lines[: wl.check_records])
+    params = engine.GaParams()
+    records, _ = ingest.load_file(train, strict=not wl.lenient)
+    trained = model.precalculate(records, params.range, ingest.fit_normalization(records))
+    model.save_model(trained, model_path)
+    test, _ = ingest.load_file(check)
+    predictions = engine.run_batch(test, model.load_model(model_path), params, workers=wl.workers)
+    assert run.digest([run.prediction_row(i, p) for i, p in enumerate(predictions)]) == DIGESTS[name]

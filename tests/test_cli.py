@@ -158,6 +158,28 @@ class TestTrainCommand:
         assert code == EXIT_PARSE
         assert "bad.kdd:2" in err
 
+    def test_missing_model_reported_before_reading(self, tmp_path, capsys):
+        # A usage error wins over the training file's faults, which are
+        # never reached: the file is not read.
+        bad = tmp_path / "bad.kdd"
+        bad.write_text(REAL_LINES[0] + "\n1,2,3\n")
+        code, out, err = run_cli(capsys, "train", "--train-file", str(bad))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "--model" in err
+
+    def test_workers_below_one_exit_config(self, workspace, capsys):
+        # train runs no search, but checks --workers as detect and evaluate do.
+        tmp, train, _ = workspace
+        model_path = tmp / "m.model"
+        code, out, err = run_cli(
+            capsys, "train", "--train-file", str(train), "--model", str(model_path), "--workers", "0",
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "workers must be >= 1" in err
+        assert not model_path.exists()
+
     def test_malformed_lenient_skips(self, tmp_path, capsys):
         bad = tmp_path / "bad.kdd"
         bad.write_text(REAL_LINES[0] + "\n1,2,3\n" + REAL_LINES[2] + "\n")
@@ -293,6 +315,16 @@ class TestDetectCommand:
         )
         assert code == EXIT_MODEL
 
+    @pytest.mark.parametrize("command", ["detect", "evaluate"])
+    def test_missing_test_file_reported_before_model(self, tmp_path, capsys, command):
+        # The corrupt model is never loaded: the missing --test-file is a
+        # usage error, reported first.
+        junk = tmp_path / "junk.model"
+        junk.write_text("gaids-model 42 0.125 0 38\n")
+        code, out, err = run_cli(capsys, command, "--model", str(junk))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "--test-file" in err
 
     @pytest.mark.parametrize("command", ["detect", "evaluate"])
     def test_model_without_chromosomes_exit_model(self, tmp_path, capsys, command):

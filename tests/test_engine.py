@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaids import engine, kernels
@@ -14,7 +14,6 @@ from gaids.engine import (
     detect,
     draw_tape,
     initialize_population,
-    make_rng,
     mutate,
     record_rng,
     run_batch,
@@ -349,7 +348,7 @@ class TestCrossover:
 class TestMutate:
     def draws(self, rows, sigma=0.05):
         """Loci and deltas for one (rows, n) population."""
-        rng = make_rng(3)
+        rng = record_rng(3, 0)
         return rng.integers(0, NUM_FEATURES, (1, rows)), sigma * rng.standard_normal((1, rows))
 
     def test_zero_rate_is_noop(self, rng):
@@ -462,7 +461,7 @@ class TestDetect:
         # genes stay in [0,1], and select keeps, per record, the prefix of
         # the stable ascending order by fitness. Fitness is coarsened so that
         # ties are common and the tie rule is exercised.
-        rng = make_rng(seed)
+        rng = record_rng(seed, 0)
         m = random_model(rng, 8)
         params = GaParams(
             population_size=population_size,
@@ -526,7 +525,7 @@ class TestDetect:
 
     def test_golden_predictions(self):
         # Records are noisy copies of the centroids so the winners vary.
-        rng = make_rng(2468)
+        rng = record_rng(2468, 0)
         m = random_model(rng, 12)
         centroids = [c.centroid for g in m.groups for c in g.chromosomes]
         recs = [
@@ -559,7 +558,7 @@ class TestDetect:
         # gives it alone from the same stream. Records near different
         # chromosomes keep different columns within one block, and
         # near-duplicate chromosomes tie or almost tie.
-        rng = make_rng(seed)
+        rng = record_rng(seed, 0)
         m = random_model(rng, chromosomes)
         centroids = m.centroids.copy()
         for src, dst in near_copies:
@@ -590,7 +589,7 @@ class TestDetect:
         # block's scan is then split into calls of at most
         # max(2^14, P * K) pairs, and each record still gets what detect
         # gives it alone.
-        rng = make_rng(31)
+        rng = record_rng(31, 0)
         k = 600
         m = random_model(rng, k)
         if identical:
@@ -607,7 +606,7 @@ class TestDetect:
             return scan(genes, centroids, sq_norms, denoms)
 
         monkeypatch.setattr(kernels, "batch_fitness", counting)
-        blocked = engine._detect_range(recs.features, m, params, 0, len(recs))
+        blocked = run_batch(recs, m, params)
         assert max(cols for _, cols in scans) == k
         assert max(rows * cols for rows, cols in scans) <= max(2**14, params.population_size * k)
         alone = [detect(rec, m, params, record_rng(params.seed, i)) for i, rec in enumerate(recs)]
@@ -632,10 +631,9 @@ class TestRunBatch:
         parallel = run_batch(recs, m, params, workers=3)
         assert serial == parallel
 
-    def pool_sizes(self, rng, monkeypatch, records, workers, cpus):
-        """Pool sizes run_batch asks for on a host with `cpus` CPUs. The stub
-        pool runs the chunks in this process; the output must equal a
-        serial run's."""
+    def stub_pool(self, monkeypatch, cpus):
+        """On a host with `cpus` CPUs, swap the pool for a stub that runs its
+        tasks in this process; returns the pool sizes run_batch asks for."""
         requested = []
 
         class StubPool:
@@ -649,22 +647,49 @@ class TestRunBatch:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(engine, "_WORKER", {})
         monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        return requested
+
+    def pool_sizes(self, rng, monkeypatch, records, workers, cpus):
+        """Pool sizes run_batch asks for on a host with `cpus` CPUs; the
+        output must equal a serial run's."""
+        requested = self.stub_pool(monkeypatch, cpus)
         m = random_model(rng, 8)
         recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(records))
         params = GaParams(seed=11)
         assert run_batch(recs, m, params, workers=workers) == run_batch(recs, m, params)
         return requested
 
-    def test_pool_no_larger_than_chunk_count(self, rng, monkeypatch):
-        # Two records give two chunks, so eight workers must not ask for
-        # eight processes.
-        assert self.pool_sizes(rng, monkeypatch, records=2, workers=8, cpus=8) == [2]
+    @pytest.mark.parametrize(
+        "records, pools", [(2, []), (27, [3])], ids=["one-block", "three-blocks"]
+    )
+    def test_pool_no_larger_than_block_count(self, rng, monkeypatch, records, pools):
+        # At P = 32 a block holds 13 records. Two records are one block, so
+        # eight workers run it in this process; 27 records are three blocks,
+        # so they ask for three processes, not eight.
+        assert self.pool_sizes(rng, monkeypatch, records=records, workers=8, cpus=8) == pools
+
+    def test_pool_receives_whole_blocks(self, rng, monkeypatch):
+        # The batch is cut into blocks once: 40 records reach the search as
+        # blocks of 13, 13, 13 and 1, whatever the pool's task split.
+        requested = self.stub_pool(monkeypatch, cpus=3)
+        blocks = []
+        search = engine._search
+
+        def counting(x, rngs, model, params):
+            blocks.append(x.shape[0])
+            return search(x, rngs, model, params)
+
+        monkeypatch.setattr(engine, "_search", counting)
+        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(40))
+        run_batch(recs, random_model(rng, 8), GaParams(seed=11), workers=3)
+        assert requested == [3]
+        assert blocks == [13, 13, 13, 1]
 
     @pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, [])])
     def test_pool_no_larger_than_cpu_count(self, rng, monkeypatch, cpus, pools):
@@ -684,14 +709,17 @@ class TestRunBatch:
 
     @settings(max_examples=4, deadline=None, derandomize=True)
     @given(
-        count=st.integers(1, 9),
-        population_size=st.integers(1, 12),
+        count=st.integers(1, 39),
+        population_size=st.integers(20, 32),
         seed=st.integers(0, 2**64 - 1),
     )
+    @example(count=39, population_size=32, seed=0)
     def test_worker_counts_give_equal_output(self, count, population_size, seed):
         # Real pools of up to three processes, allowed three CPUs whatever
-        # the host has; the per-record streams make every split agree.
-        rng = make_rng(seed)
+        # the host has; blocks hold 13 to 21 records, so a draw spans one to
+        # three blocks (the explicit example is three). The per-record
+        # streams make every split agree.
+        rng = record_rng(seed, 0)
         m = random_model(rng, 6)
         recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(count))
         params = GaParams(population_size=population_size, seed=seed)
