@@ -91,8 +91,12 @@ def nearest_centroid(x: np.ndarray, centroids: np.ndarray) -> tuple[int, float]:
 
     Ties resolve to the lowest index.
     """
+    # Squaring in place keeps one (k, n) temporary per call: two of them
+    # can cross glibc's mmap threshold, and then the page faults depend on
+    # the heap layout rather than the work.
     diff = centroids - x
-    d2 = (diff * diff).sum(axis=1)
+    diff *= diff
+    d2 = diff.sum(axis=1)
     idx = int(np.argmin(d2))
     return idx, math.sqrt(float(d2[idx]) / centroids.shape[1])
 

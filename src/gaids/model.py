@@ -3,11 +3,11 @@
 A chromosome is a merged prototype: a running-mean centroid, its member
 count, and a running standard deviation of member-to-centroid distances
 (the distance each member had to the centroid at the moment it merged).
-Training walks the records once: a record merges into the nearest
-chromosome of its own label group when that chromosome lies within the
-merge range, otherwise it seeds a new chromosome. The trained model holds
-all chromosomes as one set of columns, one row each, in the order the
-fitness kernel scans them.
+Training runs one label at a time, in file order within a label: a
+record merges into the nearest chromosome of its own label when that
+chromosome lies within the merge range, otherwise it seeds a new
+chromosome. The trained model holds all chromosomes as one set of
+columns, one row each, in the order the fitness kernel scans them.
 """
 
 from __future__ import annotations
@@ -102,55 +102,17 @@ class ChromosomeModel:
         ]
 
 
-class _GroupBuilder:
-    """Capacity-doubling store for one group during precalculation."""
-
-    def __init__(self, label: str, category: str, num_features: int):
-        self.label = label
-        self.category = category
-        self.centroids = np.empty((8, num_features), dtype=np.float64)
-        self.counts: list[int] = []
-        self.means: list[float] = []
-        self.m2s: list[float] = []
-        self.size = 0
-
-    def view(self) -> np.ndarray:
-        return self.centroids[: self.size]
-
-    def add(self, x: np.ndarray) -> None:
-        if self.size == self.centroids.shape[0]:
-            grown = np.empty((self.size * 2, self.centroids.shape[1]), dtype=np.float64)
-            grown[: self.size] = self.centroids
-            self.centroids = grown
-        self.centroids[self.size] = x
-        self.counts.append(1)
-        self.means.append(0.0)
-        self.m2s.append(0.0)
-        self.size += 1
-
-    def merge(self, idx: int, x: np.ndarray, d: float) -> None:
-        """Fold x into chromosome idx: the centroid moves to the running mean
-        and d (x's distance to the pre-merge centroid) joins the running
-        (Welford) standard deviation that becomes the spread."""
-        n = self.counts[idx] + 1
-        row = self.centroids[idx]
-        row += (x - row) / n
-        self.counts[idx] = n
-        delta = d - self.means[idx]
-        self.means[idx] += delta / n
-        self.m2s[idx] += delta * (d - self.means[idx])
-
-
 def precalculate(
     training: Dataset,
     merge_range: float,
     stats: NormalizationStats,
 ) -> ChromosomeModel:
-    """Single training pass: merge each normalized record into the nearest
-    chromosome of its own label group when within merge_range, else seed a
-    new chromosome. Labels keep their first-sight order; the pass is
-    order-dependent and bit-reproducible for a fixed input order.
-    Normalization runs on BLOCK_ROWS rows at a time.
+    """Train one label at a time: walk the label's normalized records in
+    file order, merging each into the label's nearest chromosome when it
+    lies within merge_range, else seeding a new chromosome. Labels never
+    share a chromosome, so their passes are independent; labels keep their
+    first-sight order. The pass is order-dependent and bit-reproducible for
+    a fixed input order. Normalization runs on BLOCK_ROWS rows at a time.
     """
     if not len(training):
         raise EmptyDataset("cannot precalculate on an empty dataset")
@@ -159,35 +121,63 @@ def precalculate(
     if None in training.attack_names:
         raise ValueError("training records must be labeled")
 
-    builders: dict[str, _GroupBuilder] = {}
-    for start in range(0, len(training), BLOCK_ROWS):
-        end = start + BLOCK_ROWS
-        block = stats.transform(training.features[start:end])
-        names = training.attack_names[start:end]
-        categories = training.categories[start:end]
-        for x, name, category in zip(block, names, categories):
-            builder = builders.get(name)
-            if builder is None:
-                builder = builders[name] = _GroupBuilder(name, category, x.shape[0])
-                builder.add(x)
-                continue
-            idx, d = kernels.nearest_centroid(x, builder.view())
-            if d <= merge_range:
-                builder.merge(idx, x, d)
-            else:
-                builder.add(x)
-
-    done = builders.values()
+    rows_of: dict[str, list[int]] = {}
+    for i, name in enumerate(training.attack_names):
+        rows_of.setdefault(name, []).append(i)
+    trained = [_train_label(training.features, rows, merge_range, stats) for rows in rows_of.values()]
+    centroids, counts, spreads = zip(*trained)
     return ChromosomeModel(
-        centroids=np.concatenate([b.view() for b in done]),
-        member_counts=[n for b in done for n in b.counts],
-        spreads=[math.sqrt(m2 / n) for b in done for m2, n in zip(b.m2s, b.counts)],
-        labels=[b.label for b in done for _ in range(b.size)],
-        category_of={b.label: b.category for b in done},
+        centroids=np.concatenate(centroids),
+        member_counts=np.concatenate(counts),
+        spreads=np.concatenate(spreads),
+        labels=[label for label, c in zip(rows_of, counts) for _ in c],
+        category_of={label: training.categories[rows[0]] for label, rows in rows_of.items()},
         normalization=stats,
         range_used=merge_range,
         training_size=len(training),
     )
+
+
+def _train_label(
+    features: np.ndarray,
+    rows: list[int],
+    merge_range: float,
+    stats: NormalizationStats,
+) -> tuple[np.ndarray, list[int], list[float]]:
+    """The centroids, member counts and spreads of one label's chromosomes,
+    trained on the label's rows of `features` in the order given.
+
+    A merge moves the centroid to the running mean of its members, and the
+    distance d of the record to the pre-merge centroid joins the running
+    (Welford) standard deviation that becomes the spread. The centroid
+    buffer doubles its capacity when full.
+    """
+    centroids = np.empty((8, features.shape[1]), dtype=np.float64)
+    counts: list[int] = []
+    means: list[float] = []
+    m2s: list[float] = []
+    for start in range(0, len(rows), BLOCK_ROWS):
+        for x in stats.transform(features[rows[start : start + BLOCK_ROWS]]):
+            k = len(counts)
+            if k:
+                idx, d = kernels.nearest_centroid(x, centroids[:k])
+                if d <= merge_range:
+                    n = counts[idx] + 1
+                    row = centroids[idx]
+                    row += (x - row) / n
+                    counts[idx] = n
+                    delta = d - means[idx]
+                    means[idx] += delta / n
+                    m2s[idx] += delta * (d - means[idx])
+                    continue
+            if k == centroids.shape[0]:
+                centroids = np.concatenate((centroids, np.empty_like(centroids)))
+            centroids[k] = x
+            counts.append(1)
+            means.append(0.0)
+            m2s.append(0.0)
+    spreads = [math.sqrt(m2 / n) for m2, n in zip(m2s, counts)]
+    return centroids[: len(counts)], counts, spreads
 
 
 def _fmt(v: float) -> str:

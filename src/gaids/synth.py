@@ -59,15 +59,9 @@ def make_centers(clusters: int, separation: float, num_features: int = NUM_FEATU
 def format_line(features: np.ndarray, label: str) -> str:
     """One KDD99-format line: 41 fields (placeholders at the symbolic
     positions) plus the label with a trailing period."""
-    fields = []
-    nxt = 0
-    sym = iter(SYMBOLIC_PLACEHOLDERS)
-    for pos in range(NUM_FEATURES + len(SYMBOLIC_POSITIONS)):
-        if pos in SYMBOLIC_POSITIONS:
-            fields.append(next(sym))
-        else:
-            fields.append(repr(float(features[nxt])))
-            nxt += 1
+    fields = [repr(float(v)) for v in features]
+    for pos, text in zip(SYMBOLIC_POSITIONS, SYMBOLIC_PLACEHOLDERS):
+        fields.insert(pos, text)
     fields.append(label + ".")
     return ",".join(fields)
 

@@ -2,6 +2,7 @@
 --trace 1`) calls: every entry point resolves, and one small job runs
 through it with every output check passing."""
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -91,6 +92,18 @@ def test_model_layer_metrics_match_the_model(job, caplog):
     assert pairs == pytest.approx(rows * k / seconds)
 
 
+def train_seed5(tmp_path, wl):
+    """The workload's seed-5 data and the path of the model trained on its
+    training file, as `gaids train` trains and saves it."""
+    data = kddgen.generate(wl.spec, seed=5)
+    train, model_path = tmp_path / "train", tmp_path / "model"
+    kddgen.write_lines(train, data.train_lines)
+    records, _ = ingest.load_file(train, strict=not wl.lenient)
+    trained = model.precalculate(records, engine.GaParams().range, ingest.fit_normalization(records))
+    model.save_model(trained, model_path)
+    return data, model_path
+
+
 # The benchmark's seed-5 prediction digests (`prediction_digest` in its
 # output). A change that alters predictions on purpose re-records them.
 DIGESTS = {
@@ -102,17 +115,28 @@ DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
 def test_seed5_prediction_digest(tmp_path, caplog, name):
-    # Train on the workload's seed-5 files and detect its checked records
-    # with its worker count, as `gaids train` and `gaids detect` do.
+    # Detect the workload's checked records with its worker count, as
+    # `gaids detect` does.
     wl = run.WORKLOADS[name]
-    data = kddgen.generate(wl.spec, seed=5)
-    train, check, model_path = tmp_path / "train", tmp_path / "check", tmp_path / "model"
-    kddgen.write_lines(train, data.train_lines)
+    data, model_path = train_seed5(tmp_path, wl)
+    check = tmp_path / "check"
     kddgen.write_lines(check, data.test_lines[: wl.check_records])
-    params = engine.GaParams()
-    records, _ = ingest.load_file(train, strict=not wl.lenient)
-    trained = model.precalculate(records, params.range, ingest.fit_normalization(records))
-    model.save_model(trained, model_path)
     test, _ = ingest.load_file(check)
-    predictions = engine.run_batch(test, model.load_model(model_path), params, workers=wl.workers)
+    predictions = engine.run_batch(test, model.load_model(model_path), engine.GaParams(), workers=wl.workers)
     assert run.digest([run.prediction_row(i, p) for i, p in enumerate(predictions)]) == DIGESTS[name]
+
+
+# The first 16 hex digits of the sha256 of the benchmark's seed-5 model
+# files. Training is bit-reproducible, so a change that alters the model on
+# purpose re-records them; any other change keeps them.
+MODEL_DIGESTS = {
+    "kdd-train": "2dd807f5ecdbff1a",
+    "few-prototypes": "9f2026e0e040120d",
+    "many-prototypes": "9a4910fd86b7f4b0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_seed5_model_digest(tmp_path, caplog, name):
+    _, model_path = train_seed5(tmp_path, run.WORKLOADS[name])
+    assert hashlib.sha256(model_path.read_bytes()).hexdigest()[:16] == MODEL_DIGESTS[name]

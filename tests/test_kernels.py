@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,23 @@ def test_scan_distance_equals_scalar_distance(rng):
         diff = x - centroids[idx]
         assert d == math.sqrt(float((diff * diff).sum()) / x.shape[0])
 
+
+
+def test_nearest_centroid_holds_one_temporary(rng):
+    # Training calls it once per record. A second (k, n) temporary doubles
+    # what each call allocates, and near glibc's mmap threshold the page
+    # faults then depend on the heap layout. (876, 38) is the largest label
+    # group of the benchmark's many-prototypes model.
+    centroids = rng.random((876, 38))
+    x = rng.random(38)
+    kernels.nearest_centroid(x, centroids)
+    tracemalloc.start()
+    try:
+        kernels.nearest_centroid(x, centroids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * centroids.nbytes
 
 @pytest.mark.parametrize(
     "population, chromosomes, features",

@@ -367,6 +367,34 @@ def test_roundtrip_random_models(seed, rows):
                 assert expected.attack_name == min(tied)
 
 
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    labels=st.lists(st.sampled_from(LABEL_POOL[:3]), min_size=0, max_size=59),
+    single_at=st.integers(0, 59),
+    merge_range=st.floats(0.05, 0.5),
+)
+def test_interleaved_labels_train_as_if_grouped(seed, labels, single_at, merge_range):
+    # No chromosome mixes labels, so the records of one label train the same
+    # whatever lies between them: the file saves the same model as its
+    # records stably regrouped by label, labels in first-sight order.
+    # "warezmaster" labels one record, at a drawn position.
+    labels.insert(single_at, "warezmaster")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    protos = rng.random((3, NUM_FEATURES)) * 5
+    feats = protos[rng.integers(0, 3, len(labels))] + rng.normal(0, 0.2, (len(labels), NUM_FEATURES))
+    stats = NormalizationStats(feats.min(axis=0), feats.max(axis=0))
+    grouped = sorted(range(len(labels)), key=lambda i: labels.index(labels[i]))
+    with tempfile.TemporaryDirectory() as tmp:
+        saved = []
+        for order in (range(len(labels)), grouped):
+            path = Path(tmp) / f"{len(saved)}.model"
+            recs = dataset(record(feats[i], labels[i]) for i in order)
+            save_model(precalculate(recs, merge_range, stats), path)
+            saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
+
 class TestPersistence:
     def test_roundtrip_byte_identical(self, tmp_path, rng):
         recs = [
