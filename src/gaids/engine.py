@@ -151,7 +151,12 @@ def draw_tape(rngs: Sequence[np.random.Generator], params: GaParams, n: int) -> 
     pairs = sum(s // 2 for s in sizes[1:])
     rows = sum(sizes[1:])
     count = len(rngs)
-    uniforms = np.empty((count, init + pairs + rows))
+    width = init + pairs + rows
+    # numpy raises ValueError for a shape whose byte count overflows a
+    # signed size; report it as the allocation failure it is.
+    if count * width > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"cannot allocate a {count} x {width} float64 tape")
+    uniforms = np.empty((count, width))
     normals = np.empty((count, init + rows))
     cuts = np.empty((count, pairs), dtype=np.int64)
     loci = np.empty((count, rows), dtype=np.int64)

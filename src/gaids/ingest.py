@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -35,11 +36,6 @@ NUM_FEATURES = 38
 SYMBOLIC_POSITIONS = (1, 2, 3)
 _NUMERIC_POSITIONS = tuple(p for p in range(NUM_RAW_FEATURES) if p not in SYMBOLIC_POSITIONS)
 _numeric_fields = operator.itemgetter(*_NUMERIC_POSITIONS)
-
-# Rows handled per numpy call where a whole dataset would cost too much
-# memory at once: ingest stacks parsed rows into the matrix this many at a
-# time, and training normalizes this many rows per call.
-BLOCK_ROWS = 1024
 
 CATEGORIES = ("normal", "probe", "dos", "u2r", "r2l")
 
@@ -167,11 +163,12 @@ class NormalizationStats:
         """Map features (a row or a matrix of rows) into [0,1]; degenerate
         features map to 0, outliers clamp."""
         span = self.feat_max - self.feat_min
-        safe = np.where(span > 0, span, 1.0)
         # A far outlier overflows to +-inf, which the clip maps to 1 or 0.
         with np.errstate(over="ignore"):
-            scaled = np.where(span > 0, (x - self.feat_min) / safe, 0.0)
-        return np.clip(scaled, 0.0, 1.0)
+            scaled = np.subtract(x, self.feat_min)
+            scaled /= np.where(span > 0, span, 1.0)
+        scaled[..., ~(span > 0)] = 0.0
+        return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
 def parse_record(line: str, require_label: bool = True) -> RawRecord:
@@ -227,11 +224,10 @@ def read_records(
     file:line context); lenient mode skips bad lines and counts them, maps
     an attack name missing from ATTACK_CATEGORIES to FALLBACK_CATEGORY, and
     logs one warning per such name with its line count.
-    Returns (dataset, skipped_count). Blank lines are ignored.
+    Returns (dataset, skipped_count). Blank lines are ignored. Accepted rows
+    are appended to one float buffer, which the feature matrix views.
     """
-    blocks: list[np.ndarray] = []
-    block = np.empty((BLOCK_ROWS, NUM_FEATURES))
-    filled = 0
+    buf = array("d")
     names: list[str | None] = []
     categories: list[str | None] = []
     skipped = 0
@@ -255,29 +251,15 @@ def read_records(
                 raise type(exc)(f"{source}:{lineno}: {exc}") from exc
             skipped += 1
             continue
-        block[filled] = values
-        filled += 1
+        buf.fromlist(values)
         names.append(raw.label)
         categories.append(category)
-        if filled == BLOCK_ROWS:
-            blocks.append(block)
-            block = np.empty((BLOCK_ROWS, NUM_FEATURES))
-            filled = 0
-    blocks.append(block[:filled])
-    # Move the blocks into one matrix, dropping each once it is copied, so
-    # that the rows are not held twice.
-    features = np.empty((len(names), NUM_FEATURES))
-    end = len(names)
-    while blocks:
-        part = blocks.pop()
-        features[end - len(part) : end] = part
-        end -= len(part)
     for name, count in unknown.items():
         log.warning(
             "%s: unknown attack name %r on %d line(s), assigned category %r",
             source, name, count, FALLBACK_CATEGORY,
         )
-    return Dataset(features, names, categories), skipped
+    return Dataset(np.frombuffer(buf).reshape(-1, NUM_FEATURES), names, categories), skipped
 
 
 def load_file(path, strict: bool = True, require_label: bool = True) -> tuple[Dataset, int]:

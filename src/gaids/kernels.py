@@ -172,7 +172,10 @@ def batch_fitness(
     """
     n = centroids.shape[1]
     d2, slack = _screen(genes, centroids, sq_norms)
-    weights = 1.0 / (n * denoms * denoms)
+    # A huge spread overflows the product to inf and its weight to 0, which
+    # keeps every pair of that column a candidate for the exact rescore.
+    with np.errstate(over="ignore"):
+        weights = 1.0 / (n * denoms * denoms)
     upper = d2 + slack
     upper *= weights
     lower = d2

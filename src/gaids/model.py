@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import EmptyDataset, EmptyModel, ModelFormatError, ModelVersionMismatch
-from .ingest import BLOCK_ROWS, CATEGORIES, NUM_FEATURES, Dataset, NormalizationStats
+from .ingest import CATEGORIES, NUM_FEATURES, Dataset, NormalizationStats
 
 MODEL_FORMAT_TAG = "gaids-model"
 MODEL_FORMAT_VERSION = "1"
@@ -27,6 +27,10 @@ MODEL_FORMAT_VERSION = "1"
 # Added to every chromosome spread so single-member (spread 0) chromosomes
 # still yield a finite score.
 SPREAD_EPSILON = 1e-6
+
+# Rows normalized per call: one gather of a label's whole row set would
+# cost as much memory as that label's share of the dataset.
+BLOCK_ROWS = 1024
 
 
 @dataclass

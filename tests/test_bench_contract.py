@@ -140,3 +140,35 @@ MODEL_DIGESTS = {
 def test_seed5_model_digest(tmp_path, caplog, name):
     _, model_path = train_seed5(tmp_path, run.WORKLOADS[name])
     assert hashlib.sha256(model_path.read_bytes()).hexdigest()[:16] == MODEL_DIGESTS[name]
+
+
+def ingest_digest(path, strict):
+    """The first 16 hex digits of a sha256 over what ingest makes of a file:
+    the feature matrix's bytes, the names, the categories and the skip
+    count."""
+    data, skipped = ingest.load_file(path, strict=strict)
+    h = hashlib.sha256(data.features.tobytes())
+    h.update(repr((data.attack_names, data.categories, skipped)).encode())
+    return h.hexdigest()[:16]
+
+
+# The benchmark's seed-5 training and test files as ingest reads them, the
+# training file as `gaids train` reads it (--lenient where the workload
+# trains lenient) and the test file as `gaids evaluate` reads it. A change
+# to how ingest stores rows keeps these.
+INGEST_DIGESTS = {
+    "kdd-train": ("2437870101722380", "4827a04644a93838"),
+    "few-prototypes": ("1d84c505749e3dfb", "cd6a26e650f939ab"),
+    "many-prototypes": ("047bbb474986b0d2", "e8eb39ad270b6249"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_seed5_ingest_digest(tmp_path, caplog, name):
+    wl = run.WORKLOADS[name]
+    data = kddgen.generate(wl.spec, seed=5)
+    train, test = tmp_path / "train", tmp_path / "test"
+    kddgen.write_lines(train, data.train_lines)
+    kddgen.write_lines(test, data.test_lines)
+    digests = (ingest_digest(train, strict=not wl.lenient), ingest_digest(test, strict=True))
+    assert digests == INGEST_DIGESTS[name]

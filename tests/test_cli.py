@@ -290,17 +290,19 @@ class TestDetectCommand:
         assert rows[0][1] == "normal" and rows[0][3] == "0.0"
         assert rows[1][1] == "smurf" and rows[1][3] == "0.0"
 
+    @pytest.mark.parametrize("population", ["1000000000000", "30000000000000000", "4611686018427387904"])
     @pytest.mark.parametrize("command", ["detect", "evaluate"])
-    def test_population_beyond_memory_exit_config(self, workspace, capsys, command):
+    def test_population_beyond_memory_exit_config(self, workspace, capsys, command, population):
         # 10^12 candidates need a 309 TiB tape, more than a 64-bit process
         # can even address, so the allocation fails at once and touches no
-        # memory.
+        # memory. The two larger sizes give a tape whose byte count, or one
+        # of its dimensions, does not even fit in a signed 64-bit size.
         tmp, train, test = workspace
         model_path = tmp / "m.model"
         run_cli(capsys, "train", "--train-file", str(train), "--model", str(model_path))
         code, out, err = run_cli(
             capsys, command, "--model", str(model_path), "--test-file", str(test),
-            "--population-size", "1000000000000",
+            "--population-size", population,
         )
         assert code == EXIT_CONFIG
         assert out == ""

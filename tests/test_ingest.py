@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,8 +176,7 @@ class TestReadRecords:
         assert data.attack_names == data.categories == [None, None]
         assert data.features.shape == (2, NUM_FEATURES)
 
-    def test_rows_stack_across_blocks_in_order(self, monkeypatch):
-        monkeypatch.setattr("gaids.ingest.BLOCK_ROWS", 3)
+    def test_rows_stack_in_order(self):
         lines = [make_line().replace(",4,", f",{i},", 1) for i in range(8)]
         data, _ = read_records(lines)
         assert data.features.shape == (8, NUM_FEATURES)
@@ -275,6 +275,24 @@ class TestNormalization:
         block = stats.transform(x)
         for row, out in zip(x, block):
             assert np.array_equal(stats.transform(row), out)
+
+    def test_block_transform_holds_one_output(self, rng):
+        # Training normalizes BLOCK_ROWS-row gathers; each temporary beyond
+        # the output costs another block. The engine passes views of the
+        # dataset matrix, so the input must stay as it was.
+        stats = NormalizationStats(rng.random(NUM_FEATURES) * 10, 10 + rng.random(NUM_FEATURES))
+        stats.feat_max[5] = stats.feat_min[5]
+        x = rng.random((1024, NUM_FEATURES)) * 30 - 5
+        before = x.copy()
+        stats.transform(x)
+        tracemalloc.start()
+        try:
+            stats.transform(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes
+        assert np.array_equal(x, before)
 
 
 

@@ -196,7 +196,7 @@ def fitness_cases(draw):
     genes = draw(arrays(np.float64, (p, n), elements=GRID))
     for i in draw(st.lists(st.integers(0, p - 1), max_size=p)):
         genes[i] = centroids[draw(st.integers(0, k - 1))]
-    spreads = draw(arrays(np.float64, k, elements=st.sampled_from([0.0, 0.01, 0.2])))
+    spreads = draw(arrays(np.float64, k, elements=st.sampled_from([0.0, 0.01, 0.2, 1e200])))
     scale = draw(st.sampled_from([1.0, 1e-3, 1e6]))
     return genes * scale, centroids * scale, spreads
 
@@ -264,7 +264,7 @@ def pruning_cases(draw):
     centroids = draw(arrays(np.float64, (k, n), elements=GRID))
     for src in draw(st.lists(st.integers(0, k - 1), max_size=k)):
         centroids[draw(st.integers(0, k - 1))] = centroids[src]
-    spreads = draw(arrays(np.float64, k, elements=st.sampled_from([0.0, 0.01, 0.2])))
+    spreads = draw(arrays(np.float64, k, elements=st.sampled_from([0.0, 0.01, 0.2, 1e200])))
     x = draw(arrays(np.float64, (r, n), elements=st.one_of(GRID, st.floats(0.0, 1.0))))
     for i in draw(st.lists(st.integers(0, r - 1), max_size=r)):
         x[i] = centroids[draw(st.integers(0, k - 1))]
