@@ -131,14 +131,19 @@ def _require_file(path, what: str) -> str:
 def cmd_train(args: argparse.Namespace) -> int:
     values, params = _settings(args)
     path = _require_file(values["train_file"], "--train-file")
-    if not values["model"]:
+    model_path = values["model"]
+    if not model_path:
         raise ConfigError("missing model output path (--model)")
+    if os.path.isdir(model_path):
+        raise ConfigError(f"--model is a directory: {model_path}")
+    if not os.path.isdir(os.path.dirname(model_path) or "."):
+        raise ConfigError(f"--model directory not found: {model_path}")
     records, skipped = ingest.load_file(path, strict=values["strict"])
     if not records:
         raise EmptyDataset(f"no usable records in {path}")
     stats = ingest.fit_normalization(records)
     trained = model.precalculate(records, params.range, stats)
-    model.save_model(trained, values["model"])
+    model.save_model(trained, model_path)
 
     summary = ingest.summarize(records)
     print(summary.to_kv())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -212,6 +213,34 @@ def _feature_values(fields: list[str]) -> list[float]:
     return values
 
 
+def _parse_line(line: str, strict: bool, require_label: bool, distinct: array) -> tuple:
+    """What read_records keeps of one line's text: () for a blank line, the
+    error's (class, message) for a bad one, or (row, attack name, category),
+    row being the index of its 38 values, which are appended to distinct."""
+    if not line.strip():
+        return ()
+    try:
+        raw = parse_record(line, require_label=require_label)
+        values = _feature_values(raw.fields)
+    except (MalformedRecord, NonNumericFeature) as exc:
+        return type(exc), str(exc)
+    label, category = raw.label, None
+    if label is not None:
+        # One string per attack name: the rows' names share it.
+        label = sys.intern(label)
+        category = ATTACK_CATEGORIES.get(label)
+        if category is None:
+            if strict:
+                return UnknownLabel, (
+                    f"unknown attack name {label!r};"
+                    f" --lenient maps it to category {FALLBACK_CATEGORY!r}"
+                )
+            category = FALLBACK_CATEGORY
+    row = len(distinct) // NUM_FEATURES
+    distinct.fromlist(values)
+    return row, label, category
+
+
 def read_records(
     lines,
     strict: bool = True,
@@ -224,42 +253,47 @@ def read_records(
     file:line context); lenient mode skips bad lines and counts them, maps
     an attack name missing from ATTACK_CATEGORIES to FALLBACK_CATEGORY, and
     logs one warning per such name with its line count.
-    Returns (dataset, skipped_count). Blank lines are ignored. Accepted rows
-    are appended to one float buffer, which the feature matrix views.
+    Returns (dataset, skipped_count). Blank lines are ignored.
+
+    Each distinct line text is parsed once. A dict maps it to its row's
+    index in a buffer of distinct rows, or to its error's class and
+    message, so a repeated line only appends its row index, name and
+    category. While the file is read this holds each distinct line's text
+    and a small tuple, about 370 B for a 190-character KDD line. The dict
+    is dropped before the feature matrix is gathered from the distinct rows
+    in file order; when no accepted line repeats, the buffer is the matrix.
     """
-    buf = array("d")
+    distinct = array("d")
+    rows = array("q")
     names: list[str | None] = []
     categories: list[str | None] = []
     skipped = 0
-    unknown: Counter[str] = Counter()
+    parsed: dict[str, tuple] = {}
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = parse_record(line, require_label=require_label)
-            values = _feature_values(raw.fields)
-            category = None
-            if raw.label is not None:
-                category = ATTACK_CATEGORIES.get(raw.label)
-                if category is None:
-                    if strict:
-                        raise UnknownLabel(raw.label)
-                    unknown[raw.label] += 1
-                    category = FALLBACK_CATEGORY
-        except (MalformedRecord, NonNumericFeature, UnknownLabel) as exc:
+        entry = parsed.get(line)
+        if entry is None:
+            entry = parsed[line] = _parse_line(line, strict, require_label, distinct)
+        if len(entry) == 3:
+            row, name, category = entry
+            rows.append(row)
+            names.append(name)
+            categories.append(category)
+        elif entry:
+            error, message = entry
             if strict:
-                raise type(exc)(f"{source}:{lineno}: {exc}") from exc
+                raise error(f"{source}:{lineno}: {message}")
             skipped += 1
-            continue
-        buf.fromlist(values)
-        names.append(raw.label)
-        categories.append(category)
-    for name, count in unknown.items():
-        log.warning(
-            "%s: unknown attack name %r on %d line(s), assigned category %r",
-            source, name, count, FALLBACK_CATEGORY,
-        )
-    return Dataset(np.frombuffer(buf).reshape(-1, NUM_FEATURES), names, categories), skipped
+    del parsed
+    for name, count in Counter(names).items():
+        if name is not None and name not in ATTACK_CATEGORIES:
+            log.warning(
+                "%s: unknown attack name %r on %d line(s), assigned category %r",
+                source, name, count, FALLBACK_CATEGORY,
+            )
+    features = np.frombuffer(distinct).reshape(-1, NUM_FEATURES)
+    if len(features) < len(rows):
+        features = features[np.frombuffer(rows, dtype=np.int64)]
+    return Dataset(features, names, categories), skipped
 
 
 def load_file(path, strict: bool = True, require_label: bool = True) -> tuple[Dataset, int]:

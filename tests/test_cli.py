@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaids import synth
+from gaids import ingest, synth
 from gaids.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, EXIT_PARSE, main
 from gaids.ingest import read_records
 from gaids.model import load_model
@@ -167,6 +167,42 @@ class TestTrainCommand:
         assert code == EXIT_CONFIG
         assert out == ""
         assert "--model" in err
+
+    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    def test_unusable_model_path_reported_before_reading(self, tmp_path, capsys, monkeypatch, where):
+        # A --model that cannot be written is a usage error too: it wins over
+        # a malformed training file, and training never starts.
+        bad = tmp_path / "bad.kdd"
+        bad.write_text(REAL_LINES[0] + "\n1,2,3\n")
+        if where == "directory":
+            model_path, fault = tmp_path, "is a directory"
+        else:
+            model_path, fault = tmp_path / "no-such-dir" / "m.model", "directory not found"
+
+        def load_file(*args, **kwargs):
+            raise AssertionError("the training file was read")
+
+        monkeypatch.setattr(ingest, "load_file", load_file)
+        code, out, err = run_cli(
+            capsys, "train", "--train-file", str(bad), "--model", str(model_path),
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: --model {fault}: {model_path}\n"
+
+    def test_unknown_name_strict_names_the_fault(self, tmp_path, capsys):
+        train = tmp_path / "u.kdd"
+        unknown = REAL_LINES[0].rsplit(",", 1)[0] + ",zerg_rush."
+        train.write_text("\n".join(REAL_LINES + [unknown]) + "\n")
+        code, out, err = run_cli(
+            capsys, "train", "--train-file", str(train), "--model", str(tmp_path / "m.model"),
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == (
+            f"error: {train}:4: unknown attack name 'zerg_rush';"
+            " --lenient maps it to category 'normal'\n"
+        )
 
     def test_workers_below_one_exit_config(self, workspace, capsys):
         # train runs no search, but checks --workers as detect and evaluate do.

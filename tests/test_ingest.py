@@ -128,7 +128,8 @@ class TestToConnectionRecord:
             read_records([",".join(fields)])
 
     def test_unknown_label_strict(self):
-        with pytest.raises(UnknownLabel, match="^<input>:1: zerg_rush$"):
+        message = "unknown attack name 'zerg_rush'; --lenient maps it to category 'normal'"
+        with pytest.raises(UnknownLabel, match=f"^<input>:1: {message}$"):
             read_records([make_line(label="zerg_rush.")], strict=True)
 
     def test_unknown_label_lenient_fallback(self, caplog):
@@ -146,10 +147,11 @@ class TestToConnectionRecord:
 
 class TestReadRecords:
     def test_one_warning_per_unknown_name(self, caplog):
-        lines = [make_line(label="zerg_rush.")] * 3 + [make_line()]
+        unknown, malformed = make_line(label="zerg_rush."), "1,2,3"
+        lines = [unknown, malformed, unknown, malformed, unknown, make_line()]
         with caplog.at_level("WARNING", logger="gaids.ingest"):
             records, skipped = read_records(lines, strict=False, source="t.kdd")
-        assert (len(records), skipped) == (4, 0)
+        assert (len(records), skipped) == (4, 2)
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1
         assert "'zerg_rush' on 3 line(s)" in warnings[0]
@@ -182,6 +184,20 @@ class TestReadRecords:
         assert data.features.shape == (8, NUM_FEATURES)
         assert data.features[:, 1].tolist() == [float(i) for i in range(8)]
         assert len(data.attack_names) == len(data.categories) == 8
+
+    def test_cached_errors_stay_small(self):
+        # Each distinct bad line keeps its error's class and message (about
+        # 150 B); a kept exception object, traceback and all, costs several KB.
+        n = 2000
+        lines = [make_line().replace(",4,", f",x{i},", 1) for i in range(n)]
+        tracemalloc.start()
+        try:
+            _, skipped = read_records(lines, strict=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert skipped == n
+        assert peak < 1000 * n
 
     def test_iteration_yields_row_views(self):
         data, _ = read_records(REAL_LINES)
@@ -303,15 +319,17 @@ ODD_LABELS = ["foo bar.", "normal. ", " smurf.", "\u00e9.", "\ufffd", "nor\x1fma
 
 
 def reference_label(line):
-    """The last comma-separated field without its trailing period."""
-    last = line.split(",")[-1]
+    """The last comma-separated field without its line end and trailing
+    period."""
+    last = line.rstrip("\r\n").split(",")[-1]
     return last[:-1] if last.endswith(".") else last
 
 
 def reference(line):
     """(error class or None, 38 floats or None) for one non-blank line, by
-    splitting on commas and calling float() on each retained field."""
-    parts = line.split(",")
+    splitting it without its line end on commas and calling float() on each
+    retained field."""
+    parts = line.rstrip("\r\n").split(",")
     label = reference_label(line)
     one_token = label.isascii() and not any(c.isspace() for c in label)
     if len(parts) != 42 or not label or not one_token:
@@ -353,11 +371,20 @@ def fuzzed_line(draw):
     return ",".join(fields)
 
 
-fuzzed_file = st.lists(st.one_of(fuzzed_line(), st.sampled_from(["", "  "])), min_size=1, max_size=8)
+@st.composite
+def fuzzed_file(draw):
+    """Up to 8 drawn lines (good, bad, unknown-name or blank), then up to 8
+    more that repeat drawn ones anywhere in the file, as they were or with
+    a CR LF line end."""
+    lines = draw(st.lists(st.one_of(fuzzed_line(), st.sampled_from(["", "  "])), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 8))):
+        repeat = draw(st.sampled_from(lines)) + draw(st.sampled_from(["", "\r\n"]))
+        lines.insert(draw(st.integers(0, len(lines))), repeat)
+    return lines
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(fuzzed_file)
+@given(fuzzed_file())
 def test_parser_matches_reference(lines):
     numbered = [(n, ln) for n, ln in enumerate(lines, start=1) if ln.strip()]
     refs = [(n, *reference(ln)) for n, ln in numbered]
@@ -378,7 +405,7 @@ def test_parser_matches_reference(lines):
             raw = parse_record(line)
             assert len(raw.fields) == 41
             assert raw.label == reference_label(line)
-            assert raw.trailing_period == line.endswith(".")
+            assert raw.trailing_period == line.rstrip("\r\n").endswith(".")
 
     first_bad = next(((n, error) for n, error, _ in refs if error is not None), None)
     if first_bad is None:
