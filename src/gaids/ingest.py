@@ -259,7 +259,7 @@ def read_records(
     index in a buffer of distinct rows, or to its error's class and
     message, so a repeated line only appends its row index, name and
     category. While the file is read this holds each distinct line's text
-    and a small tuple, about 370 B for a 190-character KDD line. The dict
+    and a small tuple, about 320 B for a 190-character KDD line. The dict
     is dropped before the feature matrix is gathered from the distinct rows
     in file order; when no accepted line repeats, the buffer is the matrix.
     """

@@ -187,7 +187,7 @@ class TestReadRecords:
 
     def test_cached_errors_stay_small(self):
         # Each distinct bad line keeps its error's class and message (about
-        # 150 B); a kept exception object, traceback and all, costs several KB.
+        # 130 B); a kept exception object, traceback and all, costs several KB.
         n = 2000
         lines = [make_line().replace(",4,", f",x{i},", 1) for i in range(n)]
         tracemalloc.start()
