@@ -6,8 +6,9 @@ flat key=value config file. Precedence is CLI flag > config file >
 built-in default. synth takes only its own flags and --seed.
 
 Exit codes: 0 success, 2 config/usage error, a file that cannot be read
-or written (OSError) or settings whose arrays do not fit in memory
-(MemoryError), 3 data parse error, 4 model error.
+or written (OSError, standard output included) or settings whose arrays do
+not fit in memory (MemoryError), 3 data parse error, 4 model error. A
+closed output pipe ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import sys
 import typing
 
-from . import engine, ingest, metrics, model, synth
+from . import engine, ingest, model
 from .errors import (
     ConfigError,
     EmptyDataset,
@@ -142,7 +143,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not records:
         raise EmptyDataset(f"no usable records in {path}")
     stats = ingest.fit_normalization(records)
-    trained = model.precalculate(records, params.range, stats)
+    trained = model.precalculate(records, params.range, stats, workers=values["workers"])
     model.save_model(trained, model_path)
 
     summary = ingest.summarize(records)
@@ -182,6 +183,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import metrics
+
     values, records, skipped, predictions = _run_test_file(args, require_label=True)
     matrix = metrics.ConfusionMatrix.from_pairs(
         (actual, pred.category) for actual, pred in zip(records.categories, predictions)
@@ -196,6 +199,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth
+
     try:
         lines = synth.generate_lines(
             clusters=args.clusters,
@@ -256,7 +261,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A write that fails (a full disk, say) fails here, as an OSError,
+        # rather than in the interpreter's flush at exit.
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -281,8 +290,12 @@ def run() -> None:
     try:
         code = main()
     except BrokenPipeError:
-        # Downstream consumer (e.g. head) closed the pipe; suppress the
-        # shutdown-flush traceback and end quietly.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # Downstream consumer (e.g. head) closed the pipe: end quietly.
         code = EXIT_OK
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # Output that stdout cannot take (a closed pipe, a full disk that
+        # main has reported) is dropped, so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)

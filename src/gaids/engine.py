@@ -53,14 +53,12 @@ generation, then pair by pair (row by row).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import kernels, parallel
 from .ingest import ConnectionRecord, Dataset
 from .model import ChromosomeModel
 
@@ -324,20 +322,13 @@ def detect(
 # block's (R, K) distance bounds add 16 R K bytes, about 0.4 MB at K = 1,916.
 _BLOCK_ELEMENTS = 2**14
 
-# The batch _detect_block reads (model, params, features): set by each pool
-# process's initializer, or by run_batch around a serial run, so two threads
-# of one process must not run batches at once.
-_WORKER: dict = {}
 
-
-def _init_worker(model: ChromosomeModel, params: GaParams, features: np.ndarray):
-    _WORKER.update(model=model, params=params, features=features)
-
-
-def _detect_block(lo: int, hi: int) -> list[Prediction]:
-    """Records lo..hi-1 of the batch, searched as one block."""
-    model, params = _WORKER["model"], _WORKER["params"]
-    x = model.normalization.transform(_WORKER["features"][lo:hi])
+def _detect_block(state: tuple, block: tuple[int, int]) -> list[Prediction]:
+    """Records lo..hi-1 of the batch (model, params, features), searched as
+    one block."""
+    model, params, features = state
+    lo, hi = block
+    x = model.normalization.transform(features[lo:hi])
     return _search(x, [record_rng(params.seed, i) for i in range(lo, hi)], model, params)
 
 
@@ -349,22 +340,14 @@ def run_batch(
     process per CPU and per block, so a batch of one block runs in this
     process; each pool process receives the one feature matrix once."""
     step = max(1, _BLOCK_ELEMENTS // (params.population_size * model.centroids.shape[1]))
-    starts = range(0, len(records), step)
-    ends = [min(lo + step, len(records)) for lo in starts]
-    processes = min(workers, os.cpu_count() or 1, len(starts))
-    state = (model, params, records.features)
-    if processes <= 1:
-        _init_worker(*state)
-        try:
-            parts = list(map(_detect_block, starts, ends))
-        finally:
-            _WORKER.clear()
-    else:
-        # About four tasks per process: the last tasks still spread the load
-        # across processes, while the per-task round trips stay few. One
-        # block per task was about 3% slower on the benchmark's few-prototypes
-        # batch (47 blocks, 2 processes on a 2-vCPU VM).
-        chunksize = math.ceil(len(starts) / (4 * processes))
-        with ProcessPoolExecutor(processes, initializer=_init_worker, initargs=state) as pool:
-            parts = list(pool.map(_detect_block, starts, ends, chunksize=chunksize))
+    blocks = [(lo, min(lo + step, len(records))) for lo in range(0, len(records), step)]
+    processes = parallel.process_count(workers, len(blocks))
+    # About four tasks per process: the last tasks still spread the load
+    # across processes, while the per-task round trips stay few. One block
+    # per task was about 3% slower on the benchmark's few-prototypes batch
+    # (47 blocks, 2 processes on a 2-vCPU VM).
+    chunksize = math.ceil(len(blocks) / (4 * max(processes, 1)))
+    parts = parallel.map_tasks(
+        _detect_block, blocks, (model, params, records.features), processes, chunksize
+    )
     return [p for part in parts for p in part]

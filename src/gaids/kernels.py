@@ -97,8 +97,8 @@ def nearest_centroid(x: np.ndarray, centroids: np.ndarray) -> tuple[int, float]:
     diff = centroids - x
     diff *= diff
     d2 = diff.sum(axis=1)
-    idx = int(np.argmin(d2))
-    return idx, math.sqrt(float(d2[idx]) / centroids.shape[1])
+    idx = int(d2.argmin())
+    return idx, math.sqrt(d2.item(idx) / centroids.shape[1])
 
 
 def _screen(

@@ -3,12 +3,14 @@
 through it with every output check passing."""
 
 import hashlib
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from gaids import engine, ingest, model
+from gaids import cli, engine, ingest, model
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(BENCH))
@@ -139,6 +141,26 @@ MODEL_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
 def test_seed5_model_digest(tmp_path, caplog, name):
     _, model_path = train_seed5(tmp_path, run.WORKLOADS[name])
+    assert hashlib.sha256(model_path.read_bytes()).hexdigest()[:16] == MODEL_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_train_workers_write_the_same_model_and_output(tmp_path, caplog, capsys, name):
+    # `gaids train --workers N` trains labels in up to N processes, here
+    # allowed three CPUs whatever the host has; the model file and the
+    # printed summary do not depend on N.
+    wl = run.WORKLOADS[name]
+    _, model_path = train_seed5(tmp_path, wl)
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"model-{workers}"
+        argv = ["train", "--train-file", str(tmp_path / "train"), "--model", str(out)]
+        argv += ["--workers", str(workers)] + (["--lenient"] if wl.lenient else [])
+        with mock.patch.object(os, "cpu_count", return_value=3):
+            assert cli.main(argv) == 0
+        assert out.read_bytes() == model_path.read_bytes()
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
     assert hashlib.sha256(model_path.read_bytes()).hexdigest()[:16] == MODEL_DIGESTS[name]
 
 

@@ -1,5 +1,9 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -774,3 +778,67 @@ def test_help_lists_report_choices(capsys, command):
         main([command, "--help"])
     assert exc.value.code == EXIT_OK
     assert "--report {table,kv}" in capsys.readouterr().out
+
+
+# -- the console entry point, `cli.run`, in a fresh interpreter --------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def gaids_process(*argv, **popen):
+    """`gaids argv...` through cli.run in a fresh interpreter on this source
+    tree, with stdout block-buffered as it is in a console script's default
+    environment."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    script = "import sys; from gaids.cli import run; sys.argv[0] = 'gaids'; run()"
+    return subprocess.Popen([sys.executable, "-c", script, *argv], env=env, **popen)
+
+
+@pytest.fixture
+def trained(workspace, capsys):
+    tmp, train, test = workspace
+    model_path = tmp / "m.model"
+    assert run_cli(capsys, "train", "--train-file", str(train), "--model", str(model_path))[0] == EXIT_OK
+    return model_path, test
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_failed_write_exits_config(trained):
+    # The report fits stdout's buffer, so nothing is written before the
+    # final flush, which a full device fails.
+    model_path, test = trained
+    with open("/dev/full", "w") as full:
+        proc = gaids_process(
+            "evaluate", "--model", str(model_path), "--test-file", str(test), "--report", "kv",
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    assert err.startswith("error: ") and "No space left on device" in err
+    assert "Exception ignored" not in err
+
+
+def test_closed_pipe_exits_ok_quietly(trained):
+    # As `gaids detect ... | head -0`: the reader is gone before any write.
+    model_path, test = trained
+    with gaids_process(
+        "detect", "--model", str(model_path), "--test-file", str(test),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_OK
+    assert err == ""
+
+
+def test_import_loads_no_pools_reporting_or_synth():
+    # Every command pays for what `import gaids.cli` loads; the pool
+    # machinery, the reports and the generator load only where they run.
+    heavy = ["concurrent.futures", "multiprocessing", "gaids.metrics", "gaids.synth"]
+    probe = f"import sys, gaids.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

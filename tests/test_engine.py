@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaids import engine, kernels
+from gaids import engine, kernels, parallel
 from gaids.engine import (
     GaParams,
     crossover,
@@ -637,7 +639,7 @@ class TestRunBatch:
         requested = []
 
         class StubPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 requested.append(max_workers)
                 initializer(*initargs)
 
@@ -650,9 +652,9 @@ class TestRunBatch:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", StubPool)
-        monkeypatch.setattr(engine, "_WORKER", {})
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(parallel, "_STATE", None)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         return requested
 
     def pool_sizes(self, rng, monkeypatch, records, workers, cpus):
@@ -723,6 +725,6 @@ class TestRunBatch:
         m = random_model(rng, 6)
         recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(count))
         params = GaParams(population_size=population_size, seed=seed)
-        with mock.patch.object(engine.os, "cpu_count", return_value=3):
+        with mock.patch.object(os, "cpu_count", return_value=3):
             results = [run_batch(recs, m, params, workers=w) for w in (1, 2, 3)]
         assert results[0] == results[1] == results[2]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaids import kernels
+from gaids import kernels, parallel
 from gaids.engine import GaParams, detect, run_batch
 from gaids.errors import (
     EmptyDataset,
@@ -394,6 +394,61 @@ def test_interleaved_labels_train_as_if_grouped(seed, labels, single_at, merge_r
             save_model(precalculate(recs, merge_range, stats), path)
             saved.append(path.read_bytes())
     assert saved[0] == saved[1]
+
+
+class TestParallelTraining:
+    def spy(self, monkeypatch, cpus):
+        """On a host with `cpus` CPUs, record the process count and the task
+        sizes (rows per label, in map order) of each map precalculate runs."""
+        calls = []
+        real = parallel.map_tasks
+
+        def spy(fn, tasks, state, processes, chunksize=1):
+            calls.append((processes, [len(rows) for rows in tasks]))
+            return real(fn, tasks, state, processes, chunksize)
+
+        monkeypatch.setattr(parallel, "map_tasks", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        return calls
+
+    def test_largest_first_saves_the_first_sight_bytes(self, rng, tmp_path, monkeypatch):
+        # A one-record label comes first in the file but trains last, so the
+        # pool finishes the labels in another order than the file lists them.
+        calls = self.spy(monkeypatch, cpus=3)
+        monkeypatch.setattr("gaids.model.BLOCK_ROWS", 4)
+        labels = ["teardrop"] + ["smurf", "normal", "smurf", "neptune"] * 10
+        recs = dataset(record(rng.random(NUM_FEATURES), label) for label in labels)
+        saved = []
+        for workers in (1, 3):
+            path = tmp_path / f"{workers}.model"
+            save_model(precalculate(recs, 0.3, NormalizationStats.identity(), workers=workers), path)
+            saved.append(path.read_bytes())
+        assert calls == [(1, [20, 10, 10, 1]), (3, [20, 10, 10, 1])]
+        assert saved[0] == saved[1]
+        assert [ln.split()[0] for ln in saved[0].decode().splitlines()[1:3]] == ["teardrop", "smurf"]
+
+    @pytest.mark.parametrize(
+        "counts, cpus, processes",
+        [
+            ({"smurf": 40}, 3, 1),
+            ({"smurf": 20, "normal": 20}, 1, 1),
+            ({"smurf": 30, "normal": 7}, 3, 1),
+            ({"smurf": 30, "normal": 8}, 3, 2),
+            ({"smurf": 30, "normal": 4, "back": 4, "land": 3}, 8, 2),
+        ],
+        ids=["one-label", "one-cpu", "rest-below-two-blocks", "rest-two-blocks", "rest-2.75-blocks"],
+    )
+    def test_pool_only_where_it_can_win(self, rng, monkeypatch, counts, cpus, processes):
+        # A pool saves at most the labels outside the largest one, so it
+        # has one process per normalization block (4 rows here) of them, and
+        # at most one per label and CPU.
+        calls = self.spy(monkeypatch, cpus)
+        monkeypatch.setattr("gaids.model.BLOCK_ROWS", 4)
+        labels = [label for label, count in counts.items() for _ in range(count)]
+        recs = dataset(record(rng.random(NUM_FEATURES), label) for label in labels)
+        precalculate(recs, 0.3, NormalizationStats.identity(), workers=8)
+        assert [processes for processes, _ in calls] == [processes]
+
 
 class TestPersistence:
     def test_roundtrip_byte_identical(self, tmp_path, rng):
