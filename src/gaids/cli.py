@@ -6,9 +6,10 @@ flat key=value config file. Precedence is CLI flag > config file >
 built-in default. synth takes only its own flags and --seed.
 
 Exit codes: 0 success, 2 config/usage error, a file that cannot be read
-or written (OSError, standard output included) or settings whose arrays do
-not fit in memory (MemoryError), 3 data parse error, 4 model error. A
-closed output pipe ends the run quietly with 0.
+or written (OSError, standard output included), settings whose arrays do
+not fit in memory (MemoryError) or a worker process that ended without its
+results (ChildProcessError), 3 data parse error, 4 model error. A closed
+output pipe ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -287,15 +288,22 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """The console entry point: main's exit code, ending the process as soon
+    as its output is written. A usage error or --help exits from argparse,
+    the normal way."""
     try:
         code = main()
     except BrokenPipeError:
         # Downstream consumer (e.g. head) closed the pipe: end quietly.
         code = EXIT_OK
-    try:
-        sys.stdout.flush()
-    except OSError:
-        # Output that stdout cannot take (a closed pipe, a full disk that
-        # main has reported) is dropped, so the flush at exit cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            # Output a stream cannot take (a closed pipe, a full disk that
+            # main has reported) is dropped.
+            pass
+    # Nothing is left to write, so skip the interpreter's teardown, which
+    # frees every object one by one: 25-60 ms after a gaids command on a
+    # 2-vCPU VM, against 2-3 ms for os._exit.
+    os._exit(code)

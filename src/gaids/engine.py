@@ -27,8 +27,8 @@ No step mixes records, and the kernel returns for each row what a per-row
 scan over every chromosome would (the kernels module docstring proves it
 for the pruned scan), so a record's prediction does not depend on its
 block or on its neighbours. `detect` is the block of one record, and
-`run_batch` cuts a batch into blocks once: the serial path, the pool and
-each pool task carry whole blocks.
+`run_batch` cuts a batch into blocks once, and every share of a
+`--workers` run carries whole blocks.
 
 The draw tape. All randomness flows through numpy's PCG64. Record i of a
 batch has its own stream PCG64(seed XOR i), so output is identical for any
@@ -314,7 +314,7 @@ def detect(
 # -- batch execution ---------------------------------------------------------
 
 # Records per block, R = max(1, _BLOCK_ELEMENTS // (P * n)), the unit of
-# work of the serial path, the pool and each pool task: the block's (R, P, n)
+# work of the serial path and of each worker's share: the block's (R, P, n)
 # gene array holds at most this many elements, and so does each kernel call's
 # rows times kept chromosomes, or one population's P * K when a single
 # population keeps more. The kernel temporaries and the tape cost about 100 KB
@@ -336,18 +336,17 @@ def run_batch(
     records: Dataset, model: ChromosomeModel, params: GaParams, workers: int = 1
 ) -> list[Prediction]:
     """Detect every record, in blocks of R records. Per-record RNG streams
-    make the result identical for any worker count. The pool has at most one
-    process per CPU and per block, so a batch of one block runs in this
-    process; each pool process receives the one feature matrix once."""
+    make the result identical for any worker count. The blocks are split,
+    by record count, into at most one share per worker, CPU and block: this
+    process runs one share and a forked child each other (`parallel`), so a
+    batch of one block runs in this process alone."""
     step = max(1, _BLOCK_ELEMENTS // (params.population_size * model.centroids.shape[1]))
     blocks = [(lo, min(lo + step, len(records))) for lo in range(0, len(records), step)]
-    processes = parallel.process_count(workers, len(blocks))
-    # About four tasks per process: the last tasks still spread the load
-    # across processes, while the per-task round trips stay few. One block
-    # per task was about 3% slower on the benchmark's few-prototypes batch
-    # (47 blocks, 2 processes on a 2-vCPU VM).
-    chunksize = math.ceil(len(blocks) / (4 * max(processes, 1)))
     parts = parallel.map_tasks(
-        _detect_block, blocks, (model, params, records.features), processes, chunksize
+        _detect_block,
+        blocks,
+        (model, params, records.features),
+        parallel.process_count(workers, len(blocks)),
+        [hi - lo for lo, hi in blocks],
     )
     return [p for part in parts for p in part]

@@ -119,8 +119,10 @@ def precalculate(
     first-sight order. The pass is order-dependent and bit-reproducible for
     a fixed input order. Normalization runs on BLOCK_ROWS rows at a time.
 
-    Up to `workers` processes train labels at once, largest label first, so
-    the longest pass starts first. The model is the same for any `workers`.
+    Up to `workers` processes train labels at once, this one and forked
+    children (`parallel`). Labels are split by row count, largest first, so
+    the longest pass starts first and shares end close together. The model
+    is the same for any `workers`.
     """
     if not len(training):
         raise EmptyDataset("cannot precalculate on an empty dataset")
@@ -133,14 +135,16 @@ def precalculate(
     for i, name in enumerate(training.attack_names):
         rows_of.setdefault(name, []).append(i)
     labels = sorted(rows_of, key=lambda label: -len(rows_of[label]))
-    # A pool saves at most the passes over the labels outside the largest,
-    # and starting one costs about as much as training one or two thousand
-    # rows (9-65 us a row, against about 15 ms to fork two processes and 20
-    # ms to import the pool): one process per BLOCK_ROWS of those rows.
+    # Children save at most the passes over the labels outside the largest:
+    # one process per BLOCK_ROWS of those rows. Forking a child and reaping
+    # it costs about 5 ms on a 2-vCPU VM, as much as training 80-550 rows
+    # (9-65 us a row); the cap was set when a process pool cost about 35 ms
+    # to import and start, and a lower one is unmeasured.
     rest = len(training) - len(rows_of[labels[0]])
     processes = min(parallel.process_count(workers, len(labels)), max(1, rest // BLOCK_ROWS))
     state = (training.features, merge_range, stats)
-    results = parallel.map_tasks(_train_label, [rows_of[label] for label in labels], state, processes)
+    tasks = [rows_of[label] for label in labels]
+    results = parallel.map_tasks(_train_label, tasks, state, processes, [len(rows) for rows in tasks])
     trained = dict(zip(labels, results))
     centroids, counts, spreads = zip(*(trained[label] for label in rows_of))
     return ChromosomeModel(

@@ -3,14 +3,13 @@
 through it with every output check passing."""
 
 import hashlib
-import os
 import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from gaids import cli, engine, ingest, model
+from gaids import cli, engine, ingest, model, parallel
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(BENCH))
@@ -156,7 +155,7 @@ def test_train_workers_write_the_same_model_and_output(tmp_path, caplog, capsys,
         out = tmp_path / f"model-{workers}"
         argv = ["train", "--train-file", str(tmp_path / "train"), "--model", str(out)]
         argv += ["--workers", str(workers)] + (["--lenient"] if wl.lenient else [])
-        with mock.patch.object(os, "cpu_count", return_value=3):
+        with mock.patch.object(parallel, "available_cpus", return_value=3):
             assert cli.main(argv) == 0
         assert out.read_bytes() == model_path.read_bytes()
         outputs.append(capsys.readouterr().out)

@@ -832,11 +832,73 @@ def test_closed_pipe_exits_ok_quietly(trained):
     assert err == ""
 
 
+def test_every_row_reaches_a_file(trained, tmp_path):
+    # run() ends the process without the interpreter's teardown: the rows
+    # still in stdout's buffer (8 KB) at the end are written first.
+    model_path, _ = trained
+    test = tmp_path / "many.kdd"
+    test.write_text("\n".join(generate_lines(3, 200, 0.5, 0.02, seed=3)) + "\n")
+    out_path = tmp_path / "rows"
+    with open(out_path, "w") as out:
+        proc = gaids_process(
+            "detect", "--model", str(model_path), "--test-file", str(test),
+            stdout=out, stderr=subprocess.PIPE, text=True,
+        )
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_OK, err
+    rows = out_path.read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == [str(i) for i in range(600)]
+    assert out_path.stat().st_size > 8192
+
+
+def test_lenient_warnings_reach_stderr(tmp_path):
+    train = tmp_path / "train.kdd"
+    unknown = REAL_LINES[0].rsplit(",", 1)[0] + ",zerg_rush."
+    train.write_text("\n".join(REAL_LINES + [unknown, unknown]) + "\n")
+    proc = gaids_process(
+        "train", "--train-file", str(train), "--model", str(tmp_path / "m.model"), "--lenient",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_OK
+    assert "unknown attack name 'zerg_rush' on 2 line(s)" in err
+    assert "chromosomes=" in out
+
+
+def test_parse_and_model_errors_exit_through_the_entry_point(trained, tmp_path):
+    model_path, test = trained
+    bad_train = tmp_path / "bad.kdd"
+    bad_train.write_text("1,2,3\n")
+    bad_model = tmp_path / "bad.model"
+    bad_model.write_text("hello world\n")
+    for argv, code in [
+        (["train", "--train-file", str(bad_train), "--model", str(tmp_path / "x.model")], EXIT_PARSE),
+        (["detect", "--model", str(bad_model), "--test-file", str(test)], EXIT_MODEL),
+    ]:
+        proc = gaids_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == code
+        assert out == "" and err.startswith("error: ")
+
+
+def test_help_exits_ok_through_the_entry_point():
+    proc = gaids_process("evaluate", "--help", stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_OK
+    assert out.startswith("usage: gaids evaluate") and "--report {table,kv}" in out
+    assert err == ""
+
+
 def test_import_loads_no_pools_reporting_or_synth():
     # Every command pays for what `import gaids.cli` loads; the pool
-    # machinery, the reports and the generator load only where they run.
+    # machinery, the reports and the generator load only where they run,
+    # and a fork-join imports no pool machinery either.
     heavy = ["concurrent.futures", "multiprocessing", "gaids.metrics", "gaids.synth"]
-    probe = f"import sys, gaids.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    probe = (
+        "import sys, gaids.cli; from gaids import parallel; "
+        "assert parallel.map_tasks(pow, [2, 3], 2, 2, [1, 1]) == [4, 8]; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

@@ -1,6 +1,4 @@
-import concurrent.futures
 import math
-import os
 from unittest import mock
 
 import numpy as np
@@ -633,34 +631,26 @@ class TestRunBatch:
         parallel = run_batch(recs, m, params, workers=3)
         assert serial == parallel
 
-    def stub_pool(self, monkeypatch, cpus):
-        """On a host with `cpus` CPUs, swap the pool for a stub that runs its
-        tasks in this process; returns the pool sizes run_batch asks for."""
+    def spy_pool(self, monkeypatch, cpus):
+        """On a host with `cpus` CPUs, spy on the fork-join so that it runs
+        every share in this process; returns the process counts of the maps
+        run_batch runs in more than one process."""
         requested = []
+        real = parallel.map_tasks
 
-        class StubPool:
-            def __init__(self, max_workers, mp_context, initializer, initargs):
-                requested.append(max_workers)
-                initializer(*initargs)
+        def spy(fn, tasks, state, processes, costs):
+            if processes > 1:
+                requested.append(processes)
+            return real(fn, tasks, state, 1, costs)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
-        monkeypatch.setattr(parallel, "_STATE", None)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(parallel, "map_tasks", spy)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         return requested
 
     def pool_sizes(self, rng, monkeypatch, records, workers, cpus):
         """Pool sizes run_batch asks for on a host with `cpus` CPUs; the
         output must equal a serial run's."""
-        requested = self.stub_pool(monkeypatch, cpus)
+        requested = self.spy_pool(monkeypatch, cpus)
         m = random_model(rng, 8)
         recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(records))
         params = GaParams(seed=11)
@@ -678,8 +668,8 @@ class TestRunBatch:
 
     def test_pool_receives_whole_blocks(self, rng, monkeypatch):
         # The batch is cut into blocks once: 40 records reach the search as
-        # blocks of 13, 13, 13 and 1, whatever the pool's task split.
-        requested = self.stub_pool(monkeypatch, cpus=3)
+        # blocks of 13, 13, 13 and 1, whatever the shares' split.
+        requested = self.spy_pool(monkeypatch, cpus=3)
         blocks = []
         search = engine._search
 
@@ -717,7 +707,7 @@ class TestRunBatch:
     )
     @example(count=39, population_size=32, seed=0)
     def test_worker_counts_give_equal_output(self, count, population_size, seed):
-        # Real pools of up to three processes, allowed three CPUs whatever
+        # Real fork-joins of up to three processes, allowed three CPUs whatever
         # the host has; blocks hold 13 to 21 records, so a draw spans one to
         # three blocks (the explicit example is three). The per-record
         # streams make every split agree.
@@ -725,6 +715,6 @@ class TestRunBatch:
         m = random_model(rng, 6)
         recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(count))
         params = GaParams(population_size=population_size, seed=seed)
-        with mock.patch.object(os, "cpu_count", return_value=3):
+        with mock.patch.object(parallel, "available_cpus", return_value=3):
             results = [run_batch(recs, m, params, workers=w) for w in (1, 2, 3)]
         assert results[0] == results[1] == results[2]

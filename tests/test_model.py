@@ -403,12 +403,12 @@ class TestParallelTraining:
         calls = []
         real = parallel.map_tasks
 
-        def spy(fn, tasks, state, processes, chunksize=1):
+        def spy(fn, tasks, state, processes, costs):
             calls.append((processes, [len(rows) for rows in tasks]))
-            return real(fn, tasks, state, processes, chunksize)
+            return real(fn, tasks, state, processes, costs)
 
         monkeypatch.setattr(parallel, "map_tasks", spy)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         return calls
 
     def test_largest_first_saves_the_first_sight_bytes(self, rng, tmp_path, monkeypatch):
