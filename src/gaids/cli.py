@@ -21,8 +21,16 @@ import os
 import sys
 import typing
 
-from . import engine, ingest, model
-from .errors import (
+# gaids's parallelism is its own processes (--workers, gaids.parallel), so
+# numpy's OpenBLAS runs one thread unless the environment says otherwise.
+# Set before numpy loads, which reads it once. Its extra thread costs CPU
+# time, not wall time, on the detection screen's matmul, and in a process
+# that ends with os._exit (run) it left `gaids evaluate`'s wall time twice
+# as spread from run to run on a 2-vCPU VM.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import engine, ingest, model  # noqa: E402
+from .errors import (  # noqa: E402
     ConfigError,
     EmptyDataset,
     EmptyModel,

@@ -904,3 +904,26 @@ def test_import_loads_no_pools_reporting_or_synth():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_blas_runs_one_thread_unless_the_environment_says(setting):
+    # --workers is the only parallelism: importing the CLI starts no BLAS
+    # thread, and an explicit OPENBLAS_NUM_THREADS is left as it is.
+    probe = (
+        "import os, gaids.cli; "
+        "status = open('/proc/self/status').read() if os.path.exists('/proc/self/status') else ''; "
+        "threads = [line.split()[1] for line in status.splitlines() if line.startswith('Threads:')]; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], threads)"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    value, threads = out.stdout.split(" ", 1)
+    assert value == (setting or "1")
+    if setting is None:
+        assert threads.strip() in ("[]", "['1']")
