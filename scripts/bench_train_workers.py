@@ -8,7 +8,8 @@ For each workload of perfbench/run.py it generates the files of --seed, loads
 the training file as `gaids train` does, and times in-process
 `model.precalculate` at workers 1 and 2, --rounds pairs, alternating which runs
 first. On few-prototypes it also times the `gaids train` child (a fresh
-interpreter on this source tree, timed with os.wait4) at --workers 1 and 2.
+interpreter on this source tree, started from a small launcher and timed
+with os.wait4, which also gives its peak RSS) at --workers 1 and 2.
 Every run's model file must match the workers-1 file byte for byte, and every
 child's stdout the first child's; a mismatch exits 1. Reports each side's
 median and quartiles, and the pairs that workers 2 won.
@@ -42,6 +43,22 @@ from gaids import engine, ingest, model  # noqa: E402
 
 WORKERS = (1, 2)
 CHILD_WORKLOAD = "few-prototypes"
+
+# Runs the command argv[2:] with its stdout in the file argv[1], and prints its
+# wall time (start to os.wait4), peak RSS and exit code as JSON. Each child
+# starts from this small interpreter, not from this script: a child's peak
+# RSS, as os.wait4 reports it, counts the RSS of the process that forked it,
+# and this script holds numpy and the workload's data.
+LAUNCH = """\
+import json, os, subprocess, sys, time
+with open(sys.argv[1], "w") as out:
+    start = time.perf_counter()
+    proc = subprocess.Popen(sys.argv[2:], stdout=out, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+print(json.dumps({"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024,
+                  "code": os.waitstatus_to_exitcode(status)}))
+"""
 
 
 def summary(times: dict[int, list[float]]) -> dict:
@@ -89,21 +106,17 @@ def time_child(train: Path, lenient: bool, rounds: int, tmp: Path) -> tuple[dict
     outputs, errors = set(), []
     for order in orders(rounds + 1):  # the first round warms the file cache, untimed
         for w in order:
-            path = tmp / f"child-{w}.model"
+            path, stdout = tmp / f"child-{w}.model", tmp / "stdout"
             argv = [sys.executable, "-c", GAIDS_CLI, "train", "--train-file", str(train),
                     "--model", str(path), "--workers", str(w)] + (["--lenient"] if lenient else [])
-            with open(tmp / "stdout", "w+") as out:
-                start = time.perf_counter()
-                proc = subprocess.Popen(argv, env=env, stdout=out, stderr=subprocess.DEVNULL)
-                _, status, usage = os.wait4(proc.pid, 0)
-                wall = time.perf_counter() - start
-                proc.returncode = os.waitstatus_to_exitcode(status)
-                out.seek(0)
-                outputs.add((out.read(), hashlib.sha256(path.read_bytes()).hexdigest()))
-            if proc.returncode != 0:
-                errors.append(f"gaids train --workers {w} exited {proc.returncode}")
-            times[w].append(wall)
-            peak_mb[w].append(usage.ru_maxrss / 1024)
+            launched = subprocess.run([sys.executable, "-c", LAUNCH, str(stdout), *argv], env=env,
+                                      capture_output=True, text=True, check=True)
+            child = json.loads(launched.stdout)
+            outputs.add((stdout.read_text(), hashlib.sha256(path.read_bytes()).hexdigest()))
+            if child["code"] != 0:
+                errors.append(f"gaids train --workers {w} exited {child['code']}")
+            times[w].append(child["wall_s"])
+            peak_mb[w].append(child["peak_rss_mb"])
     for w in WORKERS:  # drop the warm-up round
         times[w], peak_mb[w] = times[w][1:], peak_mb[w][1:]
     if len(outputs) != 1:

@@ -34,6 +34,20 @@ float64 machine epsilon.
 Values and indices are therefore bit-identical to a per-row scan; only the
 amount of work changes.
 
+Training's `nearest_centroid`, given the rows' squared norms, runs steps
+1-4 for one row and without spreads: there are no weights, the cut is the
+smallest d2 + slack, and the rows whose d2 - slack is at or below it are
+rescored with the direct scan's own row sum and picked in ascending order.
+The cut needs no widening. The slack is twice the gap step 2 bounds, and the
+spare half covers the roundings of d2 -+ slack (below 3 u s, as d2 <= 2 s,
+with u = eps / 2), so the winner and every row tied with it are candidates.
+Step 2 asks of ||c||^2 only that it be a float sum of the squares of the
+row's current values: in any order such a sum is within (n+1) u relative of
+the true square, which the bound already counts, as it does for the
+model's (centroids**2).sum(axis=1). A label in training keeps such norms:
+`model._train_label` recomputes a row's norm from the row itself each time
+the row is made or moves, and never updates an older norm by a difference.
+
 The engine's populations are small perturbations of their records, so it
 passes `batch_fitness` only the chromosomes that can win for some row
 (after Elkan's and Hamerly's triangle-inequality bounds for k-means).
@@ -86,11 +100,23 @@ _WIDEN = 1.0 + 64 * _EPS
 _SQRT_TINY = math.sqrt(_TINY)
 
 
-def nearest_centroid(x: np.ndarray, centroids: np.ndarray) -> tuple[int, float]:
-    """Index and distance of the row of `centroids` nearest to `x`.
+def nearest_centroid(
+    x: np.ndarray, centroids: np.ndarray, sq_norms: np.ndarray | None = None
+) -> tuple[int, float]:
+    """Index and distance of the row of `centroids` (C-contiguous) nearest to
+    `x`.
 
-    Ties resolve to the lowest index.
+    Ties resolve to the lowest index. Given `sq_norms`, each row's squared
+    norm as a float sum of its squares, the scan is screened (steps 1-4
+    without spreads): one (1, K) product, then an exact rescore of the rows
+    that can win. The index and distance are the same bit for bit.
     """
+    if sq_norms is not None:
+        d2, slack = _screen(x[None, :], centroids, sq_norms)
+        cut = (d2 + slack).min()
+        d2 -= slack
+        cols = np.flatnonzero(d2 <= cut)
+        centroids = centroids[cols]
     # Squaring in place keeps one (k, n) temporary per call: two of them
     # can cross glibc's mmap threshold, and then the page faults depend on
     # the heap layout rather than the work.
@@ -98,7 +124,8 @@ def nearest_centroid(x: np.ndarray, centroids: np.ndarray) -> tuple[int, float]:
     diff *= diff
     d2 = diff.sum(axis=1)
     idx = int(d2.argmin())
-    return idx, math.sqrt(d2.item(idx) / centroids.shape[1])
+    dist = math.sqrt(d2.item(idx) / centroids.shape[1])
+    return (idx if sq_norms is None else int(cols[idx])), dist
 
 
 def _screen(

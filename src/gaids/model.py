@@ -13,6 +13,7 @@ columns, one row each, in the order the fitness kernel scans them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,13 @@ SPREAD_EPSILON = 1e-6
 # Rows normalized per call: one gather of a label's whole row set would
 # cost as much memory as that label's share of the dataset.
 BLOCK_ROWS = 1024
+
+# A label's nearest-chromosome scan is screened once the label holds this
+# many chromosomes. The screen costs about 20 us a record (a dozen numpy
+# calls) at any K, while the direct (K, n) scan grows with K. The sweep of
+# scripts/bench_train_scan.py put the crossover at K = 224-256 in four runs
+# on a 2-vCPU VM (BENCH_train_scan.json); the switch sits at its upper end.
+SCREEN_ROWS = 256
 
 
 @dataclass
@@ -91,18 +99,30 @@ class ChromosomeModel:
     def num_chromosomes(self) -> int:
         return len(self.labels)
 
+    def runs(self) -> list[tuple[str, str, slice]]:
+        """Each label, its category and the slice of its rows, labels in file
+        order; the rows of a label are one run in the order they were made."""
+        return [
+            (label, category, slice(bisect_left(self.labels, label), bisect_right(self.labels, label)))
+            for label, category in self.category_of.items()
+        ]
+
     @property
     def groups(self) -> list[ChromosomeGroup]:
         """The rows by label, groups in file order; each centroid is a view
         of a row of `centroids`."""
-        rows: dict[str, list[Chromosome]] = {label: [] for label in self.category_of}
-        for label, centroid, count, spread in zip(
-            self.labels, self.centroids, self.member_counts, self.spreads
-        ):
-            rows[label].append(Chromosome(centroid, int(count), float(spread)))
         return [
-            ChromosomeGroup(label, category, rows[label])
-            for label, category in self.category_of.items()
+            ChromosomeGroup(
+                label,
+                category,
+                [
+                    Chromosome(centroid, int(count), float(spread))
+                    for centroid, count, spread in zip(
+                        self.centroids[rows], self.member_counts[rows], self.spreads[rows]
+                    )
+                ],
+            )
+            for label, category, rows in self.runs()
         ]
 
 
@@ -170,18 +190,26 @@ def _train_label(
     distance d of the record to the pre-merge centroid joins the running
     (Welford) standard deviation that becomes the spread. The centroid
     buffer doubles its capacity when full.
+
+    Once the label holds SCREEN_ROWS chromosomes its scan is screened: it
+    keeps each row's squared norm, recomputed from the row whenever the row
+    is made or moves, which is what the screen's bound needs, and passes
+    them to `kernels.nearest_centroid`. The switch is made when a
+    chromosome is added, so below it a record pays for no extra test, and
+    the merges are the same either way.
     """
     features, merge_range, stats = state
     centroids = np.empty((8, features.shape[1]), dtype=np.float64)
+    norms = None  # each row's squared norm, kept once the label screens
+    scan: tuple = ()  # the arguments after x of each nearest_centroid call
     step = np.empty(features.shape[1], dtype=np.float64)
     counts: list[int] = []
     means: list[float] = []
     m2s: list[float] = []
     for start in range(0, len(rows), BLOCK_ROWS):
         for x in stats.transform(features[rows[start : start + BLOCK_ROWS]]):
-            k = len(counts)
-            if k:
-                idx, d = kernels.nearest_centroid(x, centroids[:k])
+            if scan:
+                idx, d = kernels.nearest_centroid(x, *scan)
                 if d <= merge_range:
                     n = counts[idx] + 1
                     row = centroids[idx]
@@ -189,17 +217,29 @@ def _train_label(
                     np.subtract(x, row, out=step)
                     step /= n
                     row += step
+                    if norms is not None:
+                        norms[idx] = row @ row
                     counts[idx] = n
                     delta = d - means[idx]
                     means[idx] += delta / n
                     m2s[idx] += delta * (d - means[idx])
                     continue
+            k = len(counts)
             if k == centroids.shape[0]:
                 centroids = np.concatenate((centroids, np.empty_like(centroids)))
+                if norms is not None:
+                    norms = np.concatenate((norms, np.empty_like(norms)))
             centroids[k] = x
             counts.append(1)
             means.append(0.0)
             m2s.append(0.0)
+            k += 1
+            if norms is not None:
+                norms[k - 1] = x @ x
+            elif k == SCREEN_ROWS:
+                norms = np.empty(centroids.shape[0], dtype=np.float64)
+                norms[:k] = np.einsum("ij,ij->i", centroids[:k], centroids[:k])
+            scan = (centroids[:k],) if norms is None else (centroids[:k], norms[:k])
     spreads = [math.sqrt(m2 / n) for m2, n in zip(m2s, counts)]
     return centroids[: len(counts)], counts, spreads
 
@@ -217,10 +257,14 @@ def save_model(model: ChromosomeModel, path) -> None:
         f"{MODEL_FORMAT_TAG} {MODEL_FORMAT_VERSION} {_fmt(model.range_used)} "
         f"{model.training_size} {num_features}"
     ]
-    for group in model.groups:
-        for c in group.chromosomes:
-            head = [group.label, group.category, str(c.member_count), _fmt(c.spread)]
-            lines.append(" ".join(head + [_fmt(v) for v in c.centroid]))
+    # The columns are float64 and int64, so tolist() gives the Python numbers
+    # whose repr _fmt writes, without a numpy scalar per value; centroids go
+    # one row at a time, as a whole label's floats would add to the peak.
+    counts, spreads = model.member_counts.tolist(), model.spreads.tolist()
+    for label, category, rows in model.runs():
+        for i in range(rows.start, rows.stop):
+            values = map(repr, model.centroids[i].tolist())
+            lines.append(" ".join([label, category, str(counts[i]), repr(spreads[i]), *values]))
     lines.append(" ".join(_fmt(v) for v in model.normalization.feat_min))
     lines.append(" ".join(_fmt(v) for v in model.normalization.feat_max))
     with open(path, "w", encoding="ascii", newline="\n") as fh:

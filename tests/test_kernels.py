@@ -109,6 +109,32 @@ def test_nearest_centroid_holds_one_temporary(rng):
         tracemalloc.stop()
     assert peak < 1.5 * centroids.nbytes
 
+
+def screened_scan(x, centroids):
+    """nearest_centroid screened with each row's squared norm."""
+    return kernels.nearest_centroid(x, centroids, np.einsum("ij,ij->i", centroids, centroids))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 64, 191, 192, 193, 300, 513])
+def test_screened_scan_equals_direct_scan(rng, k):
+    # Half the rows on a quarter grid, so that exact ties are common, half
+    # random; a third of them copies of others. The queries are grid points,
+    # random points, the all-0 and all-1 corners, centroids themselves and
+    # points 1e-9 off a centroid.
+    centroids = np.where(rng.random((k, 1)) < 0.5, rng.integers(0, 5, (k, 38)) / 4, rng.random((k, 38)))
+    centroids[rng.integers(0, k, k // 3)] = centroids[rng.integers(0, k, k // 3)]
+    hits = centroids[rng.integers(0, k, 20)]
+    queries = np.concatenate([
+        rng.integers(0, 5, (20, 38)) / 4,
+        rng.random((20, 38)),
+        np.zeros((1, 38)),
+        np.ones((1, 38)),
+        hits,
+        np.clip(hits + rng.normal(0, 1e-9, hits.shape), 0.0, 1.0),
+    ])
+    for x in queries:
+        assert screened_scan(x, centroids) == kernels.nearest_centroid(x, centroids)
+
 @pytest.mark.parametrize(
     "population, chromosomes, features",
     [(1, 1, 38), (6, 1, 38), (16, 40, 38), (9, 7, 3)],
@@ -206,6 +232,14 @@ def fitness_cases(draw):
 def test_batch_fitness_equals_loop_property(case):
     genes, centroids, spreads = case
     assert_matches_loop(genes, centroids, spreads)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fitness_cases())
+def test_screened_scan_equals_direct_scan_property(case):
+    genes, centroids, _ = case
+    for x in genes:
+        assert screened_scan(x, centroids) == kernels.nearest_centroid(x, centroids)
 
 
 def assert_pruned_matches_loop(x, populations, centroids, spreads):

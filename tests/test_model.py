@@ -449,6 +449,35 @@ class TestParallelTraining:
         precalculate(recs, 0.3, NormalizationStats.identity(), workers=8)
         assert [processes for processes, _ in calls] == [processes]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("screen_rows", [1, 5, 8, 9, 20])
+    def test_screened_scan_writes_the_same_model(self, rng, tmp_path, monkeypatch, screen_rows, workers):
+        # At this range smurf (trained here) and neptune (in the child at 2
+        # workers) make 31 and 44 chromosomes between merges that move the
+        # centroids far, so they switch to the screened scan partway through
+        # their pass, before, at or after a buffer doubling (8 -> 16 -> 32
+        # rows), and a norm not kept up to date changes the model.
+        calls = self.spy(monkeypatch, cpus=2)
+        monkeypatch.setattr("gaids.model.BLOCK_ROWS", 4)
+        labels = ["smurf"] * 150 + ["neptune"] * 100 + ["normal"] * 20
+        recs = dataset(record(rng.random(NUM_FEATURES), labels[i]) for i in rng.permutation(len(labels)))
+        stats = NormalizationStats.identity()
+        reference, switched = tmp_path / "direct.model", tmp_path / "screened.model"
+        save_model(precalculate(recs, 0.32, stats), reference)
+        monkeypatch.setattr("gaids.model.SCREEN_ROWS", screen_rows)
+        scans = []
+        real = kernels.nearest_centroid
+
+        def nearest_centroid(x, *scan):
+            scans.append(len(scan))
+            return real(x, *scan)
+
+        monkeypatch.setattr(kernels, "nearest_centroid", nearest_centroid)
+        save_model(precalculate(recs, 0.32, stats, workers=workers), switched)
+        assert switched.read_bytes() == reference.read_bytes()
+        assert [processes for processes, _ in calls] == [1, workers]
+        assert 2 in scans and (screen_rows == 1 or 1 in scans)
+
 
 class TestPersistence:
     def test_roundtrip_byte_identical(self, tmp_path, rng):
