@@ -12,7 +12,10 @@ interpreter on this source tree, started from a small launcher and timed
 with os.wait4, which also gives its peak RSS) at --workers 1 and 2.
 Every run's model file must match the workers-1 file byte for byte, and every
 child's stdout the first child's; a mismatch exits 1. Reports each side's
-median and quartiles, and the pairs that workers 2 won.
+median and quartiles, and the pairs that workers 2 won. OpenBLAS runs one
+thread, as in `gaids`: training calls a matmul in forked children, which
+runs several times slower when OpenBLAS's threads were started before the
+fork.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -151,6 +156,7 @@ def main() -> int:
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "openblas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         "seed": args.seed,
         "workloads": {},
     }

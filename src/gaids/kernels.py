@@ -34,20 +34,6 @@ float64 machine epsilon.
 Values and indices are therefore bit-identical to a per-row scan; only the
 amount of work changes.
 
-Training's `nearest_centroid`, given the rows' squared norms, runs steps
-1-4 for one row and without spreads: there are no weights, the cut is the
-smallest d2 + slack, and the rows whose d2 - slack is at or below it are
-rescored with the direct scan's own row sum and picked in ascending order.
-The cut needs no widening. The slack is twice the gap step 2 bounds, and the
-spare half covers the roundings of d2 -+ slack (below 3 u s, as d2 <= 2 s,
-with u = eps / 2), so the winner and every row tied with it are candidates.
-Step 2 asks of ||c||^2 only that it be a float sum of the squares of the
-row's current values: in any order such a sum is within (n+1) u relative of
-the true square, which the bound already counts, as it does for the
-model's (centroids**2).sum(axis=1). A label in training keeps such norms:
-`model._train_label` recomputes a row's norm from the row itself each time
-the row is made or moves, and never updates an older norm by a difference.
-
 The engine's populations are small perturbations of their records, so it
 passes `batch_fitness` only the chromosomes that can win for some row
 (after Elkan's and Hamerly's triangle-inequality bounds for k-means).
@@ -84,6 +70,52 @@ score = d / (sqrt(n) denom), denom = spread + 1e-6 per chromosome.
    in ascending order: each row's minimum and every chromosome tied with
    it are among them, so argmin over the kept columns, mapped back, is
    the lowest-index minimum over all of them, the same floats and index.
+
+Training (`model._train_label`) settles most records' nearest chromosome
+from step 5 as well, with Elkan's and Hamerly's bounds and no scan. Its
+rows are normalized records and their running means, so every coordinate
+lies in [0, 1]. Here d is the kernels' distance sqrt(sum((a-b)^2) / n),
+eta = 2^-1075 bounds the absolute error of one underflowing rounding, and
+a true distance is that of the exact real numbers the floats hold.
+
+8. Settle (once per block of B records against a label's k rows): step 5
+   gives lo and hi for each record and row. The record's candidate c is
+   the row with the lowest hi, and lb2 is the smallest lo over the other
+   rows times (1 - 4 eps) / sqrt(n): that rounds to below each other row's
+   true distance d as the block starts.
+   - Accept: the direct scan computes d2_j = sum(fl(c_j - x)^2) for every
+     row j. In any order that float is within (n+3) u relative of the true
+     squared distance, plus n eta absolute. The record computes d2_c with
+     the same subtract, square and row sum (a sum along the last axis of a
+     C-contiguous array adds a row in the same order however many rows
+     there are), so d = sqrt(d2_c / n) is the scan's float for c. It
+     accepts c when lb2 - maxdrift > d (1 + (n+8) eps) + sqrt(tiny). By the
+     triangle inequality every other row j is at true distance at least
+     lb2 - drift_j >= lb2 - maxdrift, and the margin covers both
+     (n+3) u errors, the roundings of d and of the test (under 8 u) and,
+     through sqrt(tiny), the underflow (at most 4 sqrt(eta)). So the
+     scan's d2_j > d2_c for every j other than c: the scan picks c
+     whatever its tie rule, with the same float. Every other record runs
+     the scan itself, so the model is bit-identical to scanning them all.
+   - Drift: a merge into row c_j with new count m >= 2 sets
+     c_j <- fl(c_j - q), q = fl(fl(c_j - x) / m). The same error terms put
+     the true |q| below d (1 + (n+13) u / 2) / m + 3 sqrt(eta) (scaled by
+     1 / sqrt(n), as every distance here). The subtraction rounds each
+     coordinate by at most u |c_j - q|, and c_j - q is a convex combination
+     of c_j and x (the weight of x is at most (1+u)^2 / m < 1), so it lies
+     in [0, 1] and the rounding moves the row by at most u more. So
+     drift_j grows by d (1 + (n+8+B) eps) / m + eps + sqrt(tiny) per
+     merge, which stays an upper bound on the row's true movement since
+     the block started, as B eps covers the rounding of a float sum of at
+     most B increments.
+   - New rows: a row made inside the block is its record x_r itself, which
+     step 5 never saw. Each later record s of the block lowers its lb2 to
+     sqrt(d2_s (1 - (n+8) eps) / n) - sqrt(tiny), if that is lower, where
+     d2_s is the row sum of fl(x_s - x_r)^2. The same (n+3) u and underflow
+     bounds put that below the true distance from x_s to the new row, so
+     lb2 stays a lower bound on the distance to every row but the
+     candidate, and the new row's drift counts from 0. If the new row is
+     the nearer, lb2 falls below d and the record runs the scan.
 """
 
 from __future__ import annotations
@@ -100,23 +132,9 @@ _WIDEN = 1.0 + 64 * _EPS
 _SQRT_TINY = math.sqrt(_TINY)
 
 
-def nearest_centroid(
-    x: np.ndarray, centroids: np.ndarray, sq_norms: np.ndarray | None = None
-) -> tuple[int, float]:
+def nearest_centroid(x: np.ndarray, centroids: np.ndarray) -> tuple[int, float]:
     """Index and distance of the row of `centroids` (C-contiguous) nearest to
-    `x`.
-
-    Ties resolve to the lowest index. Given `sq_norms`, each row's squared
-    norm as a float sum of its squares, the scan is screened (steps 1-4
-    without spreads): one (1, K) product, then an exact rescore of the rows
-    that can win. The index and distance are the same bit for bit.
-    """
-    if sq_norms is not None:
-        d2, slack = _screen(x[None, :], centroids, sq_norms)
-        cut = (d2 + slack).min()
-        d2 -= slack
-        cols = np.flatnonzero(d2 <= cut)
-        centroids = centroids[cols]
+    `x`; ties resolve to the lowest index."""
     # Squaring in place keeps one (k, n) temporary per call: two of them
     # can cross glibc's mmap threshold, and then the page faults depend on
     # the heap layout rather than the work.
@@ -124,8 +142,7 @@ def nearest_centroid(
     diff *= diff
     d2 = diff.sum(axis=1)
     idx = int(d2.argmin())
-    dist = math.sqrt(d2.item(idx) / centroids.shape[1])
-    return (idx if sq_norms is None else int(cols[idx])), dist
+    return idx, math.sqrt(d2.item(idx) / centroids.shape[1])
 
 
 def _screen(

@@ -13,6 +13,7 @@ columns, one row each, in the order the fitness kernel scans them.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -33,12 +34,15 @@ SPREAD_EPSILON = 1e-6
 # cost as much memory as that label's share of the dataset.
 BLOCK_ROWS = 1024
 
-# A label's nearest-chromosome scan is screened once the label holds this
-# many chromosomes. The screen costs about 20 us a record (a dozen numpy
-# calls) at any K, while the direct (K, n) scan grows with K. The sweep of
-# scripts/bench_train_scan.py put the crossover at K = 224-256 in four runs
-# on a 2-vCPU VM (BENCH_train_scan.json); the switch sits at its upper end.
-SCREEN_ROWS = 256
+# Records that share one set of distance bounds in training: at a block's
+# start one `kernels.record_bounds` call brackets each record's distance to
+# every chromosome of its label. Larger blocks make fewer calls but let more
+# merges loosen the bounds, so more records fall back to the direct scan.
+# The sweep of scripts/bench_train_bounds.py (BENCH_train_bounds.json) sets it.
+BOUND_ROWS = 64
+
+_EPS = sys.float_info.epsilon
+_SQRT_TINY = math.sqrt(sys.float_info.min)
 
 
 @dataclass
@@ -157,8 +161,8 @@ def precalculate(
     labels = sorted(rows_of, key=lambda label: -len(rows_of[label]))
     # Children save at most the passes over the labels outside the largest:
     # one process per BLOCK_ROWS of those rows. Forking a child and reaping
-    # it costs about 5 ms on a 2-vCPU VM, as much as training 80-550 rows
-    # (9-65 us a row); the cap was set when a process pool cost about 35 ms
+    # it costs about 5 ms on a 2-vCPU VM, as much as training 250-1,000 rows
+    # (5-19 us a row); the cap was set when a process pool cost about 35 ms
     # to import and start, and a lower one is unmeasured.
     rest = len(training) - len(rows_of[labels[0]])
     processes = min(parallel.process_count(workers, len(labels)), max(1, rest // BLOCK_ROWS))
@@ -191,56 +195,94 @@ def _train_label(
     (Welford) standard deviation that becomes the spread. The centroid
     buffer doubles its capacity when full.
 
-    Once the label holds SCREEN_ROWS chromosomes its scan is screened: it
-    keeps each row's squared norm, recomputed from the row whenever the row
-    is made or moves, which is what the screen's bound needs, and passes
-    them to `kernels.nearest_centroid`. The switch is made when a
-    chromosome is added, so below it a record pays for no extra test, and
-    the merges are the same either way.
+    The records go in blocks of BOUND_ROWS. At a block's start
+    `kernels.record_bounds` brackets each record's distance to every row,
+    which gives the record a candidate (the row with the lowest upper
+    bound) and a lower bound on its distance to every other row. A record
+    whose exact distance to its candidate is below that bound, less the
+    rows' drift since the block started and a rounding margin, merges
+    without a scan; any other record runs the direct scan,
+    `kernels.nearest_centroid`. Both give the same row and distance bit for
+    bit (kernels docstring, step 8), so the model is that of a direct scan
+    of every record.
     """
     features, merge_range, stats = state
-    centroids = np.empty((8, features.shape[1]), dtype=np.float64)
-    norms = None  # each row's squared norm, kept once the label screens
-    scan: tuple = ()  # the arguments after x of each nearest_centroid call
-    step = np.empty(features.shape[1], dtype=np.float64)
-    counts: list[int] = []
-    means: list[float] = []
-    m2s: list[float] = []
-    for start in range(0, len(rows), BLOCK_ROWS):
-        for x in stats.transform(features[rows[start : start + BLOCK_ROWS]]):
-            if scan:
-                idx, d = kernels.nearest_centroid(x, *scan)
-                if d <= merge_range:
-                    n = counts[idx] + 1
-                    row = centroids[idx]
-                    # row += (x - row) / n, through one reused buffer
-                    np.subtract(x, row, out=step)
-                    step /= n
-                    row += step
-                    if norms is not None:
-                        norms[idx] = row @ row
-                    counts[idx] = n
-                    delta = d - means[idx]
-                    means[idx] += delta / n
-                    m2s[idx] += delta * (d - means[idx])
-                    continue
+    n = features.shape[1]
+    block = BOUND_ROWS
+    # Step 8's rounding margins.
+    widen = 1.0 + (n + 8) * _EPS
+    to_scaled = (1.0 - 4 * _EPS) / math.sqrt(n)
+    drift_widen = 1.0 + (n + 8 + block) * _EPS
+    drift_floor = _EPS + _SQRT_TINY
+    new_scale = (1.0 - (n + 8) * _EPS) / n
+    centroids = np.empty((8, n), dtype=np.float64)
+    centroids[0] = stats.transform(features[rows[0]])  # the first record seeds
+    diff = np.empty(n, dtype=np.float64)
+    sq = np.empty(n, dtype=np.float64)
+    counts: list[int] = [1]
+    means: list[float] = [0.0]
+    m2s: list[float] = [0.0]
+    for start in range(1, len(rows), BLOCK_ROWS):
+        xs = stats.transform(features[rows[start : start + BLOCK_ROWS]])
+        for b in range(0, len(xs), block):
+            records = xs[b : b + block]
             k = len(counts)
-            if k == centroids.shape[0]:
-                centroids = np.concatenate((centroids, np.empty_like(centroids)))
-                if norms is not None:
-                    norms = np.concatenate((norms, np.empty_like(norms)))
-            centroids[k] = x
-            counts.append(1)
-            means.append(0.0)
-            m2s.append(0.0)
-            k += 1
-            if norms is not None:
-                norms[k - 1] = x @ x
-            elif k == SCREEN_ROWS:
-                norms = np.empty(centroids.shape[0], dtype=np.float64)
-                norms[:k] = np.einsum("ij,ij->i", centroids[:k], centroids[:k])
-            scan = (centroids[:k],) if norms is None else (centroids[:k], norms[:k])
-    spreads = [math.sqrt(m2 / n) for m2, n in zip(m2s, counts)]
+            lower, upper = kernels.record_bounds(
+                records, centroids[:k], np.einsum("ij,ij->i", centroids[:k], centroids[:k])
+            )
+            cands = upper.argmin(axis=1)
+            lower[np.arange(len(records)), cands] = np.inf
+            low = lower.min(axis=1)
+            low *= to_scaled
+            bounds = low.tolist()
+            drift = [0.0] * k  # bounds each row's movement since the block's start
+            maxdrift = 0.0
+            for i, (x, j) in enumerate(zip(records, cands.tolist())):
+                row = centroids[j]
+                np.subtract(row, x, out=diff)
+                np.multiply(diff, diff, out=sq)
+                d = math.sqrt(np.add.reduce(sq) / n)
+                idx = j
+                if bounds[i] - maxdrift <= d * widen + _SQRT_TINY:
+                    idx, d = kernels.nearest_centroid(x, centroids[: len(counts)])
+                    if idx != j and d <= merge_range:
+                        row = centroids[idx]
+                        np.subtract(row, x, out=diff)
+                if d <= merge_range:
+                    # row += (x - row) / c, as row -= (row - x) / c: IEEE
+                    # subtraction and division are sign-symmetric
+                    c = counts[idx] + 1
+                    np.divide(diff, float(c), out=diff)
+                    np.subtract(row, diff, out=row)
+                    counts[idx] = c
+                    delta = d - means[idx]
+                    means[idx] += delta / c
+                    m2s[idx] += delta * (d - means[idx])
+                    drift[idx] += d * drift_widen / c + drift_floor
+                    if drift[idx] > maxdrift:
+                        maxdrift = drift[idx]
+                    continue
+                k = len(counts)
+                if k == centroids.shape[0]:
+                    centroids = np.concatenate((centroids, np.empty_like(centroids)))
+                centroids[k] = x
+                counts.append(1)
+                means.append(0.0)
+                m2s.append(0.0)
+                drift.append(0.0)
+                # The new row is x itself: a lower bound on each later
+                # record's exact distance to it may lower that record's bound.
+                rest = records[i + 1 :]
+                if len(rest):
+                    near = rest - x
+                    near *= near
+                    near = near.sum(axis=1)
+                    near *= new_scale
+                    np.sqrt(near, out=near)
+                    near -= _SQRT_TINY
+                    np.minimum(low[i + 1 :], near, out=low[i + 1 :])
+                    bounds[i + 1 :] = low[i + 1 :].tolist()
+    spreads = [math.sqrt(m2 / c) for m2, c in zip(m2s, counts)]
     return centroids[: len(counts)], counts, spreads
 
 

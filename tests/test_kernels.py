@@ -111,16 +111,29 @@ def test_nearest_centroid_holds_one_temporary(rng):
 
 
 def screened_scan(x, centroids):
-    """nearest_centroid screened with each row's squared norm."""
-    return kernels.nearest_centroid(x, centroids, np.einsum("ij,ij->i", centroids, centroids))
+    """The nearest row as training settles it from bounds at a block's
+    start (step 8, with `model._train_label`'s margins): the row with the
+    lowest upper bound and its distance, when that distance, widened, is
+    below every other row's lower bound; None where the record would run
+    the direct scan."""
+    n = centroids.shape[1]
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    lower, upper = kernels.record_bounds(x[None, :], centroids, np.einsum("ij,ij->i", centroids, centroids))
+    j = int(upper[0].argmin())
+    lower[0, j] = np.inf
+    lb2 = lower.min() * ((1.0 - 4 * eps) / math.sqrt(n))
+    diff = centroids[j] - x
+    d = math.sqrt(np.add.reduce(diff * diff) / n)
+    return (j, d) if lb2 > d * (1.0 + (n + 8) * eps) + math.sqrt(tiny) else None
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 64, 191, 192, 193, 300, 513])
 def test_screened_scan_equals_direct_scan(rng, k):
-    # Half the rows on a quarter grid, so that exact ties are common, half
-    # random; a third of them copies of others. The queries are grid points,
-    # random points, the all-0 and all-1 corners, centroids themselves and
-    # points 1e-9 off a centroid.
+    # Where the bounds settle a record, they give the direct scan's index and
+    # distance. Half the rows on a quarter grid, so that exact ties are
+    # common, half random; a third of them copies of others. The queries are
+    # grid points, random points, the all-0 and all-1 corners, centroids
+    # themselves and points 1e-9 off a centroid.
     centroids = np.where(rng.random((k, 1)) < 0.5, rng.integers(0, 5, (k, 38)) / 4, rng.random((k, 38)))
     centroids[rng.integers(0, k, k // 3)] = centroids[rng.integers(0, k, k // 3)]
     hits = centroids[rng.integers(0, k, 20)]
@@ -132,8 +145,10 @@ def test_screened_scan_equals_direct_scan(rng, k):
         hits,
         np.clip(hits + rng.normal(0, 1e-9, hits.shape), 0.0, 1.0),
     ])
-    for x in queries:
-        assert screened_scan(x, centroids) == kernels.nearest_centroid(x, centroids)
+    settled = [screened_scan(x, centroids) for x in queries]
+    for x, found in zip(queries, settled):
+        assert found in (None, kernels.nearest_centroid(x, centroids))
+    assert any(settled)
 
 @pytest.mark.parametrize(
     "population, chromosomes, features",
@@ -239,7 +254,7 @@ def test_batch_fitness_equals_loop_property(case):
 def test_screened_scan_equals_direct_scan_property(case):
     genes, centroids, _ = case
     for x in genes:
-        assert screened_scan(x, centroids) == kernels.nearest_centroid(x, centroids)
+        assert screened_scan(x, centroids) in (None, kernels.nearest_centroid(x, centroids))
 
 
 def assert_pruned_matches_loop(x, populations, centroids, spreads):

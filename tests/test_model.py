@@ -19,7 +19,7 @@ from gaids.errors import (
     ModelVersionMismatch,
 )
 from gaids.ingest import NUM_FEATURES, NormalizationStats
-from gaids.model import SPREAD_EPSILON, load_model, precalculate, save_model
+from gaids.model import SPREAD_EPSILON, ChromosomeModel, load_model, precalculate, save_model
 
 from conftest import build_model, dataset, random_model, record
 
@@ -450,33 +450,171 @@ class TestParallelTraining:
         assert [processes for processes, _ in calls] == [processes]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("screen_rows", [1, 5, 8, 9, 20])
-    def test_screened_scan_writes_the_same_model(self, rng, tmp_path, monkeypatch, screen_rows, workers):
+    @pytest.mark.parametrize("bound_rows", [1, 5, 8, 9, 20])
+    def test_screened_scan_writes_the_same_model(self, rng, tmp_path, monkeypatch, bound_rows, workers):
         # At this range smurf (trained here) and neptune (in the child at 2
         # workers) make 31 and 44 chromosomes between merges that move the
-        # centroids far, so they switch to the screened scan partway through
-        # their pass, before, at or after a buffer doubling (8 -> 16 -> 32
-        # rows), and a norm not kept up to date changes the model.
+        # centroids far, so blocks of every size settle some records from
+        # their bounds, and larger ones send others to the direct scan and
+        # add rows partway through, across buffer doublings (8 -> 16 -> 32
+        # rows).
         calls = self.spy(monkeypatch, cpus=2)
         monkeypatch.setattr("gaids.model.BLOCK_ROWS", 4)
+        monkeypatch.setattr("gaids.model.BOUND_ROWS", bound_rows)
         labels = ["smurf"] * 150 + ["neptune"] * 100 + ["normal"] * 20
         recs = dataset(record(rng.random(NUM_FEATURES), labels[i]) for i in rng.permutation(len(labels)))
         stats = NormalizationStats.identity()
-        reference, switched = tmp_path / "direct.model", tmp_path / "screened.model"
-        save_model(precalculate(recs, 0.32, stats), reference)
-        monkeypatch.setattr("gaids.model.SCREEN_ROWS", screen_rows)
-        scans = []
-        real = kernels.nearest_centroid
+        reference, screened = tmp_path / "direct.model", tmp_path / "screened.model"
+        save_model(direct_scan_precalculate(recs, 0.32, stats), reference)
+        scans = count_scans(monkeypatch)
+        save_model(precalculate(recs, 0.32, stats, workers=workers), screened)
+        assert screened.read_bytes() == reference.read_bytes()
+        assert [processes for processes, _ in calls] == [workers]
+        # Blocks of one record see no drift and no new row, so all settle.
+        assert len(scans) < len(recs) - 3 and (bound_rows == 1 or scans)
 
-        def nearest_centroid(x, *scan):
-            scans.append(len(scan))
-            return real(x, *scan)
 
-        monkeypatch.setattr(kernels, "nearest_centroid", nearest_centroid)
-        save_model(precalculate(recs, 0.32, stats, workers=workers), switched)
-        assert switched.read_bytes() == reference.read_bytes()
-        assert [processes for processes, _ in calls] == [1, workers]
-        assert 2 in scans and (screen_rows == 1 or 1 in scans)
+def count_scans(monkeypatch):
+    """Log the row count of each `kernels.nearest_centroid` call from now on
+    and return the log; calls in forked children do not reach it."""
+    scans = []
+    real = kernels.nearest_centroid
+
+    def nearest_centroid(x, centroids):
+        scans.append(len(centroids))
+        return real(x, centroids)
+
+    monkeypatch.setattr(kernels, "nearest_centroid", nearest_centroid)
+    return scans
+
+
+def direct_scan_precalculate(training, merge_range, stats):
+    """The trainer without bounds: each record scans every chromosome of its
+    label (the lowest index wins a tie), then merges by
+    row += (x - row) / count or seeds a new chromosome. precalculate must
+    save the same bytes."""
+    features = stats.transform(training.features)
+    n = features.shape[1]
+    trained = {}
+    for x, label in zip(features, training.attack_names):
+        rows, counts, means, m2s = trained.setdefault(label, ([], [], [], []))
+        if rows:
+            diff = np.array(rows) - x
+            diff *= diff
+            d2 = diff.sum(axis=1)
+            idx = int(d2.argmin())
+            d = math.sqrt(d2.item(idx) / n)
+            if d <= merge_range:
+                counts[idx] += 1
+                rows[idx] = rows[idx] + (x - rows[idx]) / counts[idx]
+                delta = d - means[idx]
+                means[idx] += delta / counts[idx]
+                m2s[idx] += delta * (d - means[idx])
+                continue
+        rows.append(x.copy())
+        counts.append(1)
+        means.append(0.0)
+        m2s.append(0.0)
+    runs = list(trained.values())
+    return ChromosomeModel(
+        centroids=np.array([row for rows, *_ in runs for row in rows]),
+        member_counts=[c for _, counts, *_ in runs for c in counts],
+        spreads=[math.sqrt(m2 / c) for _, counts, _, m2s in runs for m2, c in zip(m2s, counts)],
+        labels=[label for label, (rows, *_) in trained.items() for _ in rows],
+        category_of={label: training.categories[training.attack_names.index(label)] for label in trained},
+        normalization=stats,
+        range_used=merge_range,
+        training_size=len(training),
+    )
+
+
+@st.composite
+def training_files(draw):
+    """Labeled feature rows of one shape: uniform, near-duplicates around a
+    few prototypes, exact duplicates, or a coarse grid whose distances tie
+    exactly."""
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    size = draw(st.integers(1, 120))
+    shape = draw(st.sampled_from(["uniform", "near", "duplicates", "grid"]))
+    if shape == "uniform":
+        feats = rng.random((size, NUM_FEATURES))
+    elif shape == "near":
+        protos = rng.random((draw(st.integers(1, 6)), NUM_FEATURES))
+        noise = draw(st.sampled_from([1e-6, 1e-4, 1e-2, 1e-1]))
+        feats = protos[rng.integers(0, len(protos), size)] + rng.normal(0, noise, (size, NUM_FEATURES))
+    elif shape == "duplicates":
+        distinct = rng.random((draw(st.integers(1, 8)), NUM_FEATURES))
+        feats = distinct[rng.integers(0, len(distinct), size)]
+    else:
+        feats = np.zeros((size, NUM_FEATURES))
+        feats[:, :3] = rng.integers(0, 5, (size, 3)) / 4
+    labels = [LABEL_POOL[i] for i in rng.integers(0, draw(st.integers(1, 3)), size)]
+    return dataset(record(np.clip(f, 0.0, 1.0), label) for f, label in zip(feats, labels))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    recs=training_files(),
+    merge_range=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    bound_rows=st.sampled_from([1, 2, 3, 64]),
+    block_rows=st.sampled_from([4, 1024]),
+    workers=st.sampled_from([1, 2]),
+)
+def test_bounds_train_the_direct_scan_model(recs, merge_range, bound_rows, block_rows, workers):
+    # precalculate settles most records from per-block distance bounds; the
+    # model must be the direct scan's, byte for byte, at any block size.
+    stats = NormalizationStats.identity()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr("gaids.model.BOUND_ROWS", bound_rows)
+        mp.setattr("gaids.model.BLOCK_ROWS", block_rows)
+        reference, trained = Path(tmp) / "direct.model", Path(tmp) / "bounds.model"
+        save_model(direct_scan_precalculate(recs, merge_range, stats), reference)
+        save_model(precalculate(recs, merge_range, stats, workers=workers), trained)
+        assert trained.read_bytes() == reference.read_bytes()
+
+
+class TestBounds:
+    """Records that a stale bound would settle on the wrong row."""
+
+    def train(self, tmp_path, monkeypatch, values, merge_range, bound_rows):
+        """Train records whose feature 0 takes `values` (the rest 0), check
+        that precalculate saves the direct scan's bytes, and return the
+        saved model and the row counts of the scans precalculate ran."""
+        monkeypatch.setattr("gaids.model.BOUND_ROWS", bound_rows)
+        recs = dataset(record({0: v}) for v in values)
+        stats = NormalizationStats.identity()
+        save_model(direct_scan_precalculate(recs, merge_range, stats), tmp_path / "direct.model")
+        scans = count_scans(monkeypatch)
+        save_model(precalculate(recs, merge_range, stats), tmp_path / "bounds.model")
+        assert (tmp_path / "bounds.model").read_bytes() == (tmp_path / "direct.model").read_bytes()
+        return load_model(tmp_path / "bounds.model"), scans
+
+    def test_a_row_made_inside_a_block_can_win(self, tmp_path, monkeypatch):
+        # The block [1, 1] starts with one row, at 0, the candidate of both
+        # records. The first seeds a row at 1, where the second belongs.
+        m, scans = self.train(tmp_path, monkeypatch, [0.0, 1.0, 1.0], 0.1, 64)
+        assert m.member_counts.tolist() == [1, 2]
+        assert scans == [2]
+
+    def test_a_row_that_moves_inside_a_block_can_win(self, tmp_path, monkeypatch):
+        # Rows at 0 and 0.6 start the block [0.35, 0.24]. 0.35 merges into
+        # 0.6 and moves it to 0.475, which is then nearer 0.24 than 0 is,
+        # though 0 was the nearer as the block started.
+        m, scans = self.train(tmp_path, monkeypatch, [0.0, 0.6, 0.0, 0.35, 0.24], 0.05, 2)
+        assert m.member_counts.tolist() == [2, 3]
+        assert scans == [2]
+
+
+def test_clustered_label_skips_most_scans(rng, monkeypatch):
+    # 40 tight clusters of one label: once each has a row, a record's bounds
+    # settle its row. Under 10% of the records may reach the direct scan.
+    centres = rng.random((40, NUM_FEATURES))
+    feats = centres[rng.integers(0, 40, 3000)] + rng.normal(0, 0.005, (3000, NUM_FEATURES))
+    recs = dataset(record(np.clip(f, 0.0, 1.0), "smurf") for f in feats)
+    scans = count_scans(monkeypatch)
+    m = precalculate(recs, 0.05, NormalizationStats.identity())
+    assert m.num_chromosomes() == 40
+    assert len(scans) < 0.1 * len(recs)
 
 
 class TestPersistence:
