@@ -159,12 +159,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(summary.to_kv())
     if skipped:
         print(f"skipped={skipped}")
-    groups = trained.groups
-    print(f"groups={len(groups)}")
+    runs = trained.runs()
+    print(f"groups={len(runs)}")
     print(f"chromosomes={trained.num_chromosomes()}")
-    for group in groups:
-        members = sum(c.member_count for c in group.chromosomes)
-        print(f"group,{group.label},{group.category},{len(group.chromosomes)},{members}")
+    for label, category, rows in runs:
+        members = int(trained.member_counts[rows].sum())
+        print(f"group,{label},{category},{rows.stop - rows.start},{members}")
     return EXIT_OK
 
 

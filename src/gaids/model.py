@@ -47,7 +47,9 @@ _SQRT_TINY = math.sqrt(sys.float_info.min)
 
 @dataclass
 class Chromosome:
-    """One row of a model, as `ChromosomeModel.groups` shows it."""
+    """One row of a model, as `ChromosomeModel.groups` shows it. gaids never
+    calls `groups`; it stays for `perfbench/run.py` (`check_model`,
+    `layer_metrics`), `perfbench/tests` and the tests."""
 
     centroid: np.ndarray
     member_count: int
@@ -56,7 +58,7 @@ class Chromosome:
 
 @dataclass
 class ChromosomeGroup:
-    """All chromosomes sharing one fine-grained attack name."""
+    """All chromosomes sharing one attack name; see `Chromosome`."""
 
     label: str
     category: str
@@ -114,7 +116,7 @@ class ChromosomeModel:
     @property
     def groups(self) -> list[ChromosomeGroup]:
         """The rows by label, groups in file order; each centroid is a view
-        of a row of `centroids`."""
+        of a row of `centroids`. gaids walks `runs`; see `Chromosome`."""
         return [
             ChromosomeGroup(
                 label,
@@ -143,10 +145,10 @@ def precalculate(
     first-sight order. The pass is order-dependent and bit-reproducible for
     a fixed input order. Normalization runs on BLOCK_ROWS rows at a time.
 
-    Up to `workers` processes train labels at once, this one and forked
-    children (`parallel`). Labels are split by row count, largest first, so
-    the longest pass starts first and shares end close together. The model
-    is the same for any `workers`.
+    Each label is one task of `parallel.map_tasks`, its cost its row count,
+    run in `parallel.process_count(workers, labels)` processes: this one and
+    forked children, as `engine.run_batch` runs its blocks. The model is the
+    same for any `workers`.
     """
     if not len(training):
         raise EmptyDataset("cannot precalculate on an empty dataset")
@@ -158,19 +160,11 @@ def precalculate(
     rows_of: dict[str, list[int]] = {}
     for i, name in enumerate(training.attack_names):
         rows_of.setdefault(name, []).append(i)
-    labels = sorted(rows_of, key=lambda label: -len(rows_of[label]))
-    # Children save at most the passes over the labels outside the largest:
-    # one process per BLOCK_ROWS of those rows. Forking a child and reaping
-    # it costs about 5 ms on a 2-vCPU VM, as much as training 250-1,000 rows
-    # (5-19 us a row); the cap was set when a process pool cost about 35 ms
-    # to import and start, and a lower one is unmeasured.
-    rest = len(training) - len(rows_of[labels[0]])
-    processes = min(parallel.process_count(workers, len(labels)), max(1, rest // BLOCK_ROWS))
+    tasks = list(rows_of.values())
+    processes = parallel.process_count(workers, len(tasks))
     state = (training.features, merge_range, stats)
-    tasks = [rows_of[label] for label in labels]
     results = parallel.map_tasks(_train_label, tasks, state, processes, [len(rows) for rows in tasks])
-    trained = dict(zip(labels, results))
-    centroids, counts, spreads = zip(*(trained[label] for label in rows_of))
+    centroids, counts, spreads = zip(*results)
     return ChromosomeModel(
         centroids=np.concatenate(centroids),
         member_counts=np.concatenate(counts),

@@ -12,9 +12,11 @@ flushes stdio buffers it inherited.
 
 A fork-join imports nothing and starts no thread: forking a child of a
 gaids process and reaping it takes about 5 ms on a 2-vCPU VM, and this
-process works on its own share meanwhile. OpenBLAS, numpy's threaded
-library, stops its threads around a fork, and gaids starts none of its
-own. Where the platform has no `os.fork`, the map runs in this process.
+process works on its own share meanwhile. With OpenBLAS, numpy's threaded
+library, at its default thread count, forked maps run slower: training
+many-prototypes in 2 processes took 270-890 ms, not 125-137 ms as with
+OPENBLAS_NUM_THREADS=1 (2-vCPU VM). So a caller sets that before numpy
+loads, as `gaids.cli` does. Without `os.fork` the map runs in this process.
 """
 
 from __future__ import annotations

@@ -143,11 +143,22 @@ def test_seed5_model_digest(tmp_path, caplog, name):
     assert hashlib.sha256(model_path.read_bytes()).hexdigest()[:16] == MODEL_DIGESTS[name]
 
 
+# The first 16 hex digits of the sha256 of `gaids train`'s stdout on the
+# benchmark's seed-5 training files: the record summary and one line per
+# label. A change that alters the model or the summary on purpose
+# re-records them.
+TRAIN_STDOUT_DIGESTS = {
+    "kdd-train": "6373c342ffa791e2",
+    "few-prototypes": "72731e089465472e",
+    "many-prototypes": "e2b12157d5c9c25c",
+}
+
+
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
 def test_train_workers_write_the_same_model_and_output(tmp_path, caplog, capsys, name):
     # `gaids train --workers N` trains labels in up to N processes, here
     # allowed three CPUs whatever the host has; the model file and the
-    # printed summary do not depend on N.
+    # printed summary do not depend on N, and are the pinned ones.
     wl = run.WORKLOADS[name]
     _, model_path = train_seed5(tmp_path, wl)
     outputs = []
@@ -160,6 +171,7 @@ def test_train_workers_write_the_same_model_and_output(tmp_path, caplog, capsys,
         assert out.read_bytes() == model_path.read_bytes()
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
+    assert hashlib.sha256(outputs[0].encode()).hexdigest()[:16] == TRAIN_STDOUT_DIGESTS[name]
     assert hashlib.sha256(model_path.read_bytes()).hexdigest()[:16] == MODEL_DIGESTS[name]
 
 

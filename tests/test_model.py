@@ -412,10 +412,10 @@ class TestParallelTraining:
         return calls
 
     def test_largest_first_saves_the_first_sight_bytes(self, rng, tmp_path, monkeypatch):
-        # A one-record label comes first in the file but trains last, so the
-        # pool finishes the labels in another order than the file lists them.
+        # A one-record label comes first in the file, but the fork-join hands
+        # out the largest task first, so it trains last, in a child; the
+        # results still come back in task order, which is first-sight order.
         calls = self.spy(monkeypatch, cpus=3)
-        monkeypatch.setattr("gaids.model.BLOCK_ROWS", 4)
         labels = ["teardrop"] + ["smurf", "normal", "smurf", "neptune"] * 10
         recs = dataset(record(rng.random(NUM_FEATURES), label) for label in labels)
         saved = []
@@ -423,7 +423,7 @@ class TestParallelTraining:
             path = tmp_path / f"{workers}.model"
             save_model(precalculate(recs, 0.3, NormalizationStats.identity(), workers=workers), path)
             saved.append(path.read_bytes())
-        assert calls == [(1, [20, 10, 10, 1]), (3, [20, 10, 10, 1])]
+        assert calls == [(1, [1, 20, 10, 10]), (3, [1, 20, 10, 10])]
         assert saved[0] == saved[1]
         assert [ln.split()[0] for ln in saved[0].decode().splitlines()[1:3]] == ["teardrop", "smurf"]
 
@@ -432,18 +432,16 @@ class TestParallelTraining:
         [
             ({"smurf": 40}, 3, 1),
             ({"smurf": 20, "normal": 20}, 1, 1),
-            ({"smurf": 30, "normal": 7}, 3, 1),
+            ({"smurf": 30, "normal": 7}, 3, 2),
             ({"smurf": 30, "normal": 8}, 3, 2),
-            ({"smurf": 30, "normal": 4, "back": 4, "land": 3}, 8, 2),
+            ({"smurf": 30, "normal": 4, "back": 4, "land": 3}, 8, 4),
         ],
-        ids=["one-label", "one-cpu", "rest-below-two-blocks", "rest-two-blocks", "rest-2.75-blocks"],
+        ids=["one-label", "one-cpu", "seven-rows-outside-largest", "eight-rows-outside-largest", "four-labels"],
     )
-    def test_pool_only_where_it_can_win(self, rng, monkeypatch, counts, cpus, processes):
-        # A pool saves at most the labels outside the largest one, so it
-        # has one process per normalization block (4 rows here) of them, and
-        # at most one per label and CPU.
+    def test_one_process_per_label_and_cpu_at_most(self, rng, monkeypatch, counts, cpus, processes):
+        # Training maps labels as detection maps blocks: at most one process
+        # per worker (8 here), CPU and label, however few rows a label has.
         calls = self.spy(monkeypatch, cpus)
-        monkeypatch.setattr("gaids.model.BLOCK_ROWS", 4)
         labels = [label for label, count in counts.items() for _ in range(count)]
         recs = dataset(record(rng.random(NUM_FEATURES), label) for label in labels)
         precalculate(recs, 0.3, NormalizationStats.identity(), workers=8)
@@ -459,7 +457,6 @@ class TestParallelTraining:
         # add rows partway through, across buffer doublings (8 -> 16 -> 32
         # rows).
         calls = self.spy(monkeypatch, cpus=2)
-        monkeypatch.setattr("gaids.model.BLOCK_ROWS", 4)
         monkeypatch.setattr("gaids.model.BOUND_ROWS", bound_rows)
         labels = ["smurf"] * 150 + ["neptune"] * 100 + ["normal"] * 20
         recs = dataset(record(rng.random(NUM_FEATURES), labels[i]) for i in rng.permutation(len(labels)))
