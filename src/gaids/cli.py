@@ -8,18 +8,18 @@ built-in default. synth takes only its own flags and --seed.
 Exit codes: 0 success, 2 config/usage error, a file that cannot be read
 or written (OSError, standard output included), settings whose arrays do
 not fit in memory (MemoryError) or a worker process that ended without its
-results (ChildProcessError), 3 data parse error, 4 model error. A closed
-output pipe ends the run quietly with 0.
+results (ChildProcessError), 3 data parse error, 4 model error (a
+GaidsError's exit_code). A closed output pipe ends the run quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import logging
 import os
 import sys
 import typing
+from collections import Counter
 
 # gaids's parallelism is its own processes (--workers, gaids.parallel), so
 # numpy's OpenBLAS runs one thread unless the environment says otherwise.
@@ -30,21 +30,10 @@ import typing
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import engine, ingest, model  # noqa: E402
-from .errors import (  # noqa: E402
-    ConfigError,
-    EmptyDataset,
-    EmptyModel,
-    GaidsError,
-    MalformedRecord,
-    ModelFormatError,
-    NonNumericFeature,
-    UnknownLabel,
-)
+from .errors import ConfigError, EmptyDataset, GaidsError  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_PARSE = 3
-EXIT_MODEL = 4
 
 _GA_FIELDS = dataclasses.fields(engine.GaParams)
 _GA_TYPES = typing.get_type_hints(engine.GaParams)
@@ -155,8 +144,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     trained = model.precalculate(records, params.range, stats, workers=values["workers"])
     model.save_model(trained, model_path)
 
-    summary = ingest.summarize(records)
-    print(summary.to_kv())
+    counts = Counter(records.categories)
+    for category in ingest.CATEGORIES:
+        print(f"{category}={counts[category]}")
+    print(f"total={len(records)}")
     if skipped:
         print(f"skipped={skipped}")
     runs = trained.runs()
@@ -266,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -275,18 +265,12 @@ def main(argv=None) -> int:
         # rather than in the interpreter's flush at exit.
         sys.stdout.flush()
         return code
-    except ConfigError as exc:
+    except GaidsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (MalformedRecord, NonNumericFeature, UnknownLabel, EmptyDataset) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ModelFormatError, EmptyModel) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+        return exc.exit_code
     except BrokenPipeError:
         raise  # handled quietly by run()
-    except (GaidsError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:

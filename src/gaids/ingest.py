@@ -2,15 +2,13 @@
 
 Parses the 42-field CSV lines into one Dataset (a raw (N, 38) feature
 matrix plus per-row attack names and categories), maps fine-grained attack
-names to the five top-level classes, summarizes class distributions, and
-fits/applies min-max feature normalization. Only the 38 numeric features
-are retained; the three symbolic ones (protocol_type, service, flag) are
-dropped.
+names to the five top-level classes, and fits/applies min-max feature
+normalization. Only the 38 numeric features are retained; the three
+symbolic ones (protocol_type, service, flag) are dropped.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 import sys
@@ -26,8 +24,6 @@ from .errors import (
     NonNumericFeature,
     UnknownLabel,
 )
-
-log = logging.getLogger(__name__)
 
 NUM_FIELDS = 42
 NUM_RAW_FEATURES = 41
@@ -131,19 +127,6 @@ class Dataset:
     def __iter__(self):
         for row in zip(self.features, self.attack_names, self.categories):
             yield ConnectionRecord(*row)
-
-
-@dataclass
-class DatasetSummary:
-    """Per-category record counts."""
-
-    counts: dict[str, int]
-    total: int
-
-    def to_kv(self) -> str:
-        lines = [f"{c}={self.counts[c]}" for c in CATEGORIES]
-        lines.append(f"total={self.total}")
-        return "\n".join(lines)
 
 
 @dataclass
@@ -252,7 +235,7 @@ def read_records(
     Strict mode aborts on the first bad line (error message carries
     file:line context); lenient mode skips bad lines and counts them, maps
     an attack name missing from ATTACK_CATEGORIES to FALLBACK_CATEGORY, and
-    logs one warning per such name with its line count.
+    writes one WARNING line per such name, with its line count, to stderr.
     Returns (dataset, skipped_count). Blank lines are ignored.
 
     Each distinct line text is parsed once. A dict maps it to its row's
@@ -286,9 +269,10 @@ def read_records(
     del parsed
     for name, count in Counter(names).items():
         if name is not None and name not in ATTACK_CATEGORIES:
-            log.warning(
-                "%s: unknown attack name %r on %d line(s), assigned category %r",
-                source, name, count, FALLBACK_CATEGORY,
+            print(
+                f"WARNING {source}: unknown attack name {name!r} on {count} line(s),"
+                f" assigned category {FALLBACK_CATEGORY!r}",
+                file=sys.stderr,
             )
     features = np.frombuffer(distinct).reshape(-1, NUM_FEATURES)
     if len(features) < len(rows):
@@ -299,14 +283,6 @@ def read_records(
 def load_file(path, strict: bool = True, require_label: bool = True) -> tuple[Dataset, int]:
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         return read_records(fh, strict=strict, require_label=require_label, source=str(path))
-
-
-def summarize(data: Dataset) -> DatasetSummary:
-    """Count records per top-level category."""
-    if None in data.categories:
-        raise ValueError("cannot summarize unlabeled records")
-    counts = Counter(data.categories)
-    return DatasetSummary(counts={c: counts[c] for c in CATEGORIES}, total=len(data))
 
 
 def fit_normalization(data: Dataset) -> NormalizationStats:

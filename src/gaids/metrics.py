@@ -21,45 +21,31 @@ class ConfusionMatrix:
     counts: np.ndarray
 
     @classmethod
-    def empty(cls) -> "ConfusionMatrix":
-        return cls(np.zeros((len(CATEGORIES), len(CATEGORIES)), dtype=np.int64))
-
-    @classmethod
     def from_pairs(cls, pairs) -> "ConfusionMatrix":
         """Tally (actual, predicted) category pairs."""
-        m = cls.empty()
+        counts = np.zeros((len(CATEGORIES), len(CATEGORIES)), dtype=np.int64)
         for actual, predicted in pairs:
-            m.counts[_INDEX[actual], _INDEX[predicted]] += 1
-        return m
+            counts[_INDEX[actual], _INDEX[predicted]] += 1
+        return cls(counts)
 
 
-@dataclass
-class BinaryCounts:
-    true_negative: int
-    false_positive: int
-    false_negative: int
-    true_positive: int
-
-
-def collapse_to_binary(matrix: ConfusionMatrix) -> BinaryCounts:
+def collapse_to_binary(matrix: ConfusionMatrix) -> tuple[int, int, int, int]:
+    """(TN, FP, FN, TP): normal is the negative class, every intrusion class
+    the positive one."""
     c = matrix.counts
-    tn = int(c[0, 0])
-    fp = int(c[0, 1:].sum())
-    fn = int(c[1:, 0].sum())
-    tp = int(c[1:, 1:].sum())
-    return BinaryCounts(true_negative=tn, false_positive=fp, false_negative=fn, true_positive=tp)
+    return int(c[0, 0]), int(c[0, 1:].sum()), int(c[1:, 0].sum()), int(c[1:, 1:].sum())
 
 
-def detection_rate(b: BinaryCounts) -> float | None:
+def detection_rate(matrix: ConfusionMatrix) -> float | None:
     """TP / (FN + TP); None when no intrusion was evaluated."""
-    denom = b.false_negative + b.true_positive
-    return b.true_positive / denom if denom else None
+    _, _, fn, tp = collapse_to_binary(matrix)
+    return tp / (fn + tp) if fn + tp else None
 
 
-def false_positive_rate(b: BinaryCounts) -> float | None:
+def false_positive_rate(matrix: ConfusionMatrix) -> float | None:
     """FP / (TN + FP); None when no normal record was evaluated."""
-    denom = b.true_negative + b.false_positive
-    return b.false_positive / denom if denom else None
+    tn, fp, _, _ = collapse_to_binary(matrix)
+    return fp / (tn + fp) if tn + fp else None
 
 
 def per_class_rates(matrix: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -73,16 +59,16 @@ def per_class_rates(matrix: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
     return recall, precision
 
 
-def _rate_lines(b: BinaryCounts) -> list[str]:
+def _rate_lines(matrix: ConfusionMatrix) -> list[str]:
     """The two rates at 4 decimals; an undefined rate prints as n/a."""
-    rates = {"detection_rate": detection_rate(b), "false_positive_rate": false_positive_rate(b)}
+    rates = {"detection_rate": detection_rate(matrix), "false_positive_rate": false_positive_rate(matrix)}
     return [f"{name}={'n/a' if r is None else format(r, '.4f')}" for name, r in rates.items()]
 
 
 def format_table_report(matrix: ConfusionMatrix) -> str:
     """Human-readable report: class-count grid with recall/precision margins,
     the binary collapse, and the two rates at 4 decimals."""
-    b = collapse_to_binary(matrix)
+    tn, fp, fn, tp = collapse_to_binary(matrix)
     c = matrix.counts
     recall, precision = per_class_rates(matrix)
     row_sums, col_sums = c.sum(axis=1), c.sum(axis=0)
@@ -109,24 +95,24 @@ def format_table_report(matrix: ConfusionMatrix) -> str:
     )
     out.append("")
     out.append("Binary collapse (normal vs intrusion)")
-    bw = max(14, len(str(max(b.true_negative, b.false_positive, b.false_negative, b.true_positive))) + 2)
+    bw = max(14, len(str(max(tn, fp, fn, tp))) + 2)
     out.append(" " * 18 + f"{'normal':>{bw}}{'intrusion':>{bw}}")
-    out.append(f"{'actual normal':<18}" + f"{b.true_negative:>{bw}}{b.false_positive:>{bw}}")
-    out.append(f"{'actual intrusion':<18}" + f"{b.false_negative:>{bw}}{b.true_positive:>{bw}}")
+    out.append(f"{'actual normal':<18}" + f"{tn:>{bw}}{fp:>{bw}}")
+    out.append(f"{'actual intrusion':<18}" + f"{fn:>{bw}}{tp:>{bw}}")
     out.append("")
-    return "\n".join(out + _rate_lines(b))
+    return "\n".join(out + _rate_lines(matrix))
 
 
 def format_kv_report(matrix: ConfusionMatrix) -> str:
     """Machine-readable report: cell,<actual>,<predicted>,<count> rows plus
     the four binary counts and the two rates."""
-    b = collapse_to_binary(matrix)
+    tn, fp, fn, tp = collapse_to_binary(matrix)
     out = []
     for i, actual in enumerate(CATEGORIES):
         for j, predicted in enumerate(CATEGORIES):
             out.append(f"cell,{actual},{predicted},{int(matrix.counts[i, j])}")
-    out.append(f"true_negative={b.true_negative}")
-    out.append(f"false_positive={b.false_positive}")
-    out.append(f"false_negative={b.false_negative}")
-    out.append(f"true_positive={b.true_positive}")
-    return "\n".join(out + _rate_lines(b))
+    out.append(f"true_negative={tn}")
+    out.append(f"false_positive={fp}")
+    out.append(f"false_negative={fn}")
+    out.append(f"true_positive={tp}")
+    return "\n".join(out + _rate_lines(matrix))

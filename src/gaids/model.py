@@ -21,7 +21,14 @@ import numpy as np
 
 from . import kernels, parallel
 from .errors import EmptyDataset, EmptyModel, ModelFormatError, ModelVersionMismatch
-from .ingest import CATEGORIES, NUM_FEATURES, Dataset, NormalizationStats
+from .ingest import (
+    ATTACK_CATEGORIES,
+    CATEGORIES,
+    FALLBACK_CATEGORY,
+    NUM_FEATURES,
+    Dataset,
+    NormalizationStats,
+)
 
 MODEL_FORMAT_TAG = "gaids-model"
 MODEL_FORMAT_VERSION = "1"
@@ -310,11 +317,11 @@ def save_model(model: ChromosomeModel, path) -> None:
 def load_model(path) -> ChromosomeModel:
     """Read a model file; rejects unknown format tags/versions and values a
     trained model cannot hold (a merge range that is not finite and
-    non-negative, unknown category, one label under two categories, member
-    count below 1, negative or non-finite spread, non-finite value,
-    centroid value outside [0,1], a feature minimum above its maximum or
-    so far below it that the span overflows, a feature count other than
-    NUM_FEATURES, non-ASCII bytes, no chromosome rows)."""
+    non-negative, unknown category, a category other than the one ingest
+    gives the label, member count below 1, negative or non-finite spread,
+    non-finite value, centroid value outside [0,1], a feature minimum above
+    its maximum or so far below it that the span overflows, a feature count
+    other than NUM_FEATURES, non-ASCII bytes, no chromosome rows)."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -396,10 +403,12 @@ def load_model(path) -> ChromosomeModel:
             raise ModelFormatError(f"member count {count} is below 1")
         if not 0.0 <= spread < math.inf:
             raise ModelFormatError(f"spread {spread!r} is not a finite non-negative number")
-        if category_of.setdefault(label, category) != category:
+        expected = ATTACK_CATEGORIES.get(label, FALLBACK_CATEGORY)
+        if category != expected:
             raise ModelFormatError(
-                f"label {label!r} is listed under {category_of[label]!r} and {category!r}"
+                f"label {label!r} is listed under {category!r}; training gives it {expected!r}"
             )
+        category_of[label] = category
         centroids[row] = parse_values(tokens[4:])
         labels.append(label)
         counts.append(count)

@@ -3,6 +3,8 @@
 through it with every output check passing."""
 
 import hashlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -11,7 +13,8 @@ import pytest
 
 from gaids import cli, engine, ingest, model, parallel
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 sys.path.insert(0, str(BENCH))
 
 import kddgen  # noqa: E402
@@ -39,7 +42,7 @@ def test_every_entry_point_resolves():
     assert missing == []
 
 
-def test_inprocess_job_passes_the_trace_checks(job, caplog):  # caplog keeps warnings quiet
+def test_inprocess_job_passes_the_trace_checks(job):
     data, files, api = job
     state: dict = {}
     run.inprocess_job(api, WORKLOAD, files, NullTracer(), state)
@@ -65,7 +68,7 @@ def traced_job(files, api):
     return state, serial, tracer
 
 
-def test_patched_kernels_see_every_call(job, caplog):
+def test_patched_kernels_see_every_call(job):
     # The traced run replaces the kernels in their module; training and
     # detection must call them through it for the kernel metrics to exist.
     data, files, api = job
@@ -75,7 +78,7 @@ def test_patched_kernels_see_every_call(job, caplog):
     assert tracer.named("kernels.batch_fitness", "engine.detect")
 
 
-def test_model_layer_metrics_match_the_model(job, caplog):
+def test_model_layer_metrics_match_the_model(job):
     # These metrics read the model through `groups`; `layer_metrics` turns an
     # attribute or type error there into a silent None.
     data, files, api = job
@@ -115,7 +118,7 @@ DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
-def test_seed5_prediction_digest(tmp_path, caplog, name):
+def test_seed5_prediction_digest(tmp_path, name):
     # Detect the workload's checked records with its worker count, as
     # `gaids detect` does.
     wl = run.WORKLOADS[name]
@@ -138,7 +141,7 @@ MODEL_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
-def test_seed5_model_digest(tmp_path, caplog, name):
+def test_seed5_model_digest(tmp_path, name):
     _, model_path = train_seed5(tmp_path, run.WORKLOADS[name])
     assert hashlib.sha256(model_path.read_bytes()).hexdigest()[:16] == MODEL_DIGESTS[name]
 
@@ -155,7 +158,7 @@ TRAIN_STDOUT_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
-def test_train_workers_write_the_same_model_and_output(tmp_path, caplog, capsys, name):
+def test_train_workers_write_the_same_model_and_output(tmp_path, capsys, name):
     # `gaids train --workers N` trains labels in up to N processes, here
     # allowed three CPUs whatever the host has; the model file and the
     # printed summary do not depend on N, and are the pinned ones.
@@ -197,7 +200,7 @@ INGEST_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
-def test_seed5_ingest_digest(tmp_path, caplog, name):
+def test_seed5_ingest_digest(tmp_path, name):
     wl = run.WORKLOADS[name]
     data = kddgen.generate(wl.spec, seed=5)
     train, test = tmp_path / "train", tmp_path / "test"
@@ -205,3 +208,15 @@ def test_seed5_ingest_digest(tmp_path, caplog, name):
     kddgen.write_lines(test, data.test_lines)
     digests = (ingest_digest(train, strict=not wl.lenient), ingest_digest(test, strict=True))
     assert digests == INGEST_DIGESTS[name]
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("bench_*.py")), ids=lambda p: p.name)
+def test_bench_script_help_exits_ok(script):
+    # Each script imports gaids when it starts, so a deleted name that a
+    # committed script still uses fails here.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--help"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")

@@ -10,13 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaids import ingest, synth
-from gaids.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, EXIT_PARSE, main
+from gaids import cli, errors, ingest, synth
+from gaids.cli import EXIT_CONFIG, EXIT_OK, main
 from gaids.ingest import read_records
 from gaids.model import load_model
 from gaids.synth import generate_lines
 
 from conftest import REAL_LINES
+
+# README's exit codes for a data error and a model error.
+EXIT_PARSE, EXIT_MODEL = 3, 4
 
 
 @pytest.fixture
@@ -463,6 +466,7 @@ class TestEvaluateCommand:
             (1, 0, b"n\xffrmal", "ASCII"),
             (-2, 0, b"0.9", "minimum exceeds maximum"),
             (2, 0, b"normal", "listed under"),
+            (1, 1, b"dos", "training gives it 'normal'"),
             (1, 4, b"1.5", "[0,1]"),
             (3, 7, b"-0.25", "[0,1]"),
             (0, 2, b"nan", "merge range"),
@@ -862,6 +866,9 @@ def test_lenient_warnings_reach_stderr(tmp_path):
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == EXIT_OK
     assert "unknown attack name 'zerg_rush' on 2 line(s)" in err
+    assert err == (
+        f"WARNING {train}: unknown attack name 'zerg_rush' on 2 line(s), assigned category 'normal'\n"
+    )
     assert "chromosomes=" in out
 
 
@@ -881,6 +888,42 @@ def test_parse_and_model_errors_exit_through_the_entry_point(trained, tmp_path):
         assert out == "" and err.startswith("error: ")
 
 
+# Each error class and the exit code README documents for it.
+DOCUMENTED_EXIT_CODES = {
+    errors.GaidsError: EXIT_CONFIG,
+    errors.ConfigError: EXIT_CONFIG,
+    errors.MalformedRecord: EXIT_PARSE,
+    errors.NonNumericFeature: EXIT_PARSE,
+    errors.UnknownLabel: EXIT_PARSE,
+    errors.EmptyDataset: EXIT_PARSE,
+    errors.ModelFormatError: EXIT_MODEL,
+    errors.ModelVersionMismatch: EXIT_MODEL,
+    errors.EmptyModel: EXIT_MODEL,
+}
+
+
+def test_every_error_class_has_a_documented_exit_code():
+    classes = {v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, errors.GaidsError)}
+    assert classes == set(DOCUMENTED_EXIT_CODES)
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [*DOCUMENTED_EXIT_CODES.items(), (OSError, EXIT_CONFIG), (ChildProcessError, EXIT_CONFIG),
+     (MemoryError, EXIT_CONFIG)],
+    ids=lambda value: value.__name__ if isinstance(value, type) else str(value),
+)
+def test_error_exits_main_with_its_documented_code(monkeypatch, capsys, error, code):
+    def stub(args):
+        raise error("stub failure")
+
+    monkeypatch.setattr(cli, "cmd_detect", stub)
+    assert main(["detect"]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("stub failure\n")
+
+
 def test_help_exits_ok_through_the_entry_point():
     proc = gaids_process("evaluate", "--help", stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     out, err = proc.communicate(timeout=120)
@@ -892,8 +935,9 @@ def test_help_exits_ok_through_the_entry_point():
 def test_import_loads_no_pools_reporting_or_synth():
     # Every command pays for what `import gaids.cli` loads; the pool
     # machinery, the reports and the generator load only where they run,
-    # and a fork-join imports no pool machinery either.
-    heavy = ["concurrent.futures", "multiprocessing", "gaids.metrics", "gaids.synth"]
+    # a fork-join imports no pool machinery either, and nothing loads the
+    # logging framework.
+    heavy = ["concurrent.futures", "multiprocessing", "gaids.metrics", "gaids.synth", "logging"]
     probe = (
         "import sys, gaids.cli; from gaids import parallel; "
         "assert parallel.map_tasks(pow, [2, 3], 2, 2, [1, 1]) == [4, 8]; "

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaids import ingest
+from gaids.cli import main
 from gaids.errors import EmptyDataset, MalformedRecord, NonNumericFeature, UnknownLabel
 from gaids.ingest import (
     ATTACK_CATEGORIES,
@@ -16,7 +17,6 @@ from gaids.ingest import (
     fit_normalization,
     parse_record,
     read_records,
-    summarize,
 )
 
 from conftest import REAL_LINES, dataset, record
@@ -132,7 +132,7 @@ class TestToConnectionRecord:
         with pytest.raises(UnknownLabel, match=f"^<input>:1: {message}$"):
             read_records([make_line(label="zerg_rush.")], strict=True)
 
-    def test_unknown_label_lenient_fallback(self, caplog):
+    def test_unknown_label_lenient_fallback(self):
         rec = read_one(make_line(label="zerg_rush."), strict=False)
         assert rec.attack_name == "zerg_rush"
         assert rec.category == "normal"
@@ -146,15 +146,17 @@ class TestToConnectionRecord:
 
 
 class TestReadRecords:
-    def test_one_warning_per_unknown_name(self, caplog):
+    def test_one_warning_per_unknown_name(self, capsys):
         unknown, malformed = make_line(label="zerg_rush."), "1,2,3"
         lines = [unknown, malformed, unknown, malformed, unknown, make_line()]
-        with caplog.at_level("WARNING", logger="gaids.ingest"):
-            records, skipped = read_records(lines, strict=False, source="t.kdd")
+        records, skipped = read_records(lines, strict=False, source="t.kdd")
         assert (len(records), skipped) == (4, 2)
-        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("WARNING ")]
         assert len(warnings) == 1
         assert "'zerg_rush' on 3 line(s)" in warnings[0]
+        assert warnings[0] == (
+            "WARNING t.kdd: unknown attack name 'zerg_rush' on 3 line(s), assigned category 'normal'"
+        )
 
     def test_strict_aborts_with_context(self):
         lines = [make_line(), "1,2,3"]
@@ -209,23 +211,40 @@ class TestReadRecords:
             assert np.array_equal(rec.features, data.features[i])
 
 
+def train_stdout(tmp_path, capsys, labels):
+    """Exit code and stdout of `gaids train` on one line per label."""
+    train = tmp_path / "train.kdd"
+    train.write_text("".join(make_line(label + ".") + "\n" for label in labels))
+    code = main(["train", "--train-file", str(train), "--model", str(tmp_path / "m.model")])
+    return code, capsys.readouterr().out
+
+
 class TestSummarize:
-    def test_counts_and_total(self):
-        records = dataset([record({}, "normal"), record({}, "smurf"), record({}, "smurf")])
-        summary = summarize(records)
-        assert summary.counts["normal"] == 1
-        assert summary.counts["dos"] == 2
-        assert summary.total == 3
+    # `gaids train` starts its stdout with the record count of each class,
+    # in CATEGORIES order, and the total.
+    def test_counts_and_total(self, tmp_path, capsys):
+        code, out = train_stdout(tmp_path, capsys, ["normal", "smurf", "smurf"])
+        assert code == 0
+        counts = dict(line.split("=") for line in out.splitlines()[:6])
+        assert counts["normal"] == "1"
+        assert counts["dos"] == "2"
+        assert counts["total"] == "3"
+        assert list(counts) == [*CATEGORIES, "total"]
 
-    def test_empty_sequence(self):
-        summary = summarize(dataset([]))
-        assert summary.total == 0
-        assert all(v == 0 for v in summary.counts.values())
+    def test_empty_sequence(self, tmp_path, capsys):
+        # A class without records prints 0; a file without records prints no
+        # counts and fails as a data error.
+        code, out = train_stdout(tmp_path, capsys, ["normal"])
+        assert code == 0
+        assert out.splitlines()[1:6] == ["probe=0", "dos=0", "u2r=0", "r2l=0", "total=1"]
+        code, out = train_stdout(tmp_path, capsys, [])
+        assert code == EmptyDataset.exit_code == 3
+        assert out == ""
 
-    def test_kv_rendering(self):
-        text = summarize(dataset([record({}, "nmap")])).to_kv()
-        assert "probe=1" in text
-        assert "total=1" in text
+    def test_kv_rendering(self, tmp_path, capsys):
+        _, out = train_stdout(tmp_path, capsys, ["nmap"])
+        assert "probe=1" in out.splitlines()
+        assert "total=1" in out.splitlines()
 
 
 class TestNormalization:

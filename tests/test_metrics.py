@@ -5,7 +5,6 @@ import pytest
 
 from gaids.ingest import CATEGORIES
 from gaids.metrics import (
-    BinaryCounts,
     ConfusionMatrix,
     collapse_to_binary,
     detection_rate,
@@ -36,6 +35,14 @@ def fixture_matrix():
     return ConfusionMatrix(FIXTURE.copy())
 
 
+def binary_matrix(tn, fp, fn, tp):
+    """A matrix whose binary collapse is (tn, fp, fn, tp): the counts sit in
+    the normal and probe rows and columns."""
+    counts = np.zeros((len(CATEGORIES), len(CATEGORIES)), dtype=np.int64)
+    counts[:2, :2] = [[tn, fp], [fn, tp]]
+    return ConfusionMatrix(counts)
+
+
 class TestAccumulate:
     def test_single_hit(self):
         m = ConfusionMatrix.from_pairs([("dos", "dos")])
@@ -61,59 +68,57 @@ class TestAccumulate:
 
 class TestCollapse:
     def test_fixture_tn_fp(self):
-        b = collapse_to_binary(fixture_matrix())
-        assert b.true_negative == 42138
-        assert b.false_positive == 1421 + 15835 + 486 + 713 == 18455
+        tn, fp, _, _ = collapse_to_binary(fixture_matrix())
+        assert tn == 42138
+        assert fp == 1421 + 15835 + 486 + 713 == 18455
 
     def test_fixture_fn_tp_from_cell_sums(self):
         # Summing the fixture grid itself (the printed binary table differs
         # slightly; both pairs total 250436).
-        b = collapse_to_binary(fixture_matrix())
-        assert b.false_negative == 398 + 921 + 146 + 11191 == 12656
-        assert b.true_positive == 237780
-        assert b.false_negative + b.true_positive == 12528 + 237908 == 250436
+        _, _, fn, tp = collapse_to_binary(fixture_matrix())
+        assert fn == 398 + 921 + 146 + 11191 == 12656
+        assert tp == 237780
+        assert fn + tp == 12528 + 237908 == 250436
 
     def test_zero_matrix(self):
-        b = collapse_to_binary(ConfusionMatrix.empty())
-        assert (b.true_negative, b.false_positive, b.false_negative, b.true_positive) == (0, 0, 0, 0)
+        assert collapse_to_binary(ConfusionMatrix.from_pairs([])) == (0, 0, 0, 0)
 
     def test_conserves_total(self, rng):
         counts = rng.integers(0, 1000, (5, 5))
         m = ConfusionMatrix(counts.astype(np.int64))
-        b = collapse_to_binary(m)
-        assert b.true_negative + b.false_positive + b.false_negative + b.true_positive == m.counts.sum()
+        assert sum(collapse_to_binary(m)) == m.counts.sum()
 
 
 class TestRates:
     def test_detection_rate_published_counts(self):
-        dr = detection_rate(BinaryCounts(42138, 18455, 12528, 237908))
+        dr = detection_rate(binary_matrix(42138, 18455, 12528, 237908))
         assert dr == pytest.approx(0.9500, abs=0.00005)
 
     def test_detection_rate_all_caught(self):
-        assert detection_rate(BinaryCounts(0, 0, 0, 5)) == 1.0
+        assert detection_rate(binary_matrix(0, 0, 0, 5)) == 1.0
 
     def test_detection_rate_cell_summed_counts(self):
-        dr = detection_rate(BinaryCounts(42138, 18455, 12656, 237780))
+        dr = detection_rate(binary_matrix(42138, 18455, 12656, 237780))
         assert dr == pytest.approx(237780 / 250436, abs=1e-12)
         assert dr == pytest.approx(0.94946, abs=0.000005)
 
     def test_false_positive_rate_published_counts(self):
-        fpr = false_positive_rate(BinaryCounts(42138, 18455, 12528, 237908))
+        fpr = false_positive_rate(binary_matrix(42138, 18455, 12528, 237908))
         assert fpr == pytest.approx(0.3046, abs=0.00005)
         assert fpr == pytest.approx(18455 / 60593, abs=1e-12)
 
     def test_false_positive_rate_zero(self):
-        assert false_positive_rate(BinaryCounts(7, 0, 0, 1)) == 0.0
+        assert false_positive_rate(binary_matrix(7, 0, 0, 1)) == 0.0
 
     def test_no_intrusions_error(self):
-        assert detection_rate(BinaryCounts(5, 5, 0, 0)) is None
+        assert detection_rate(binary_matrix(5, 5, 0, 0)) is None
 
     def test_no_normals_error(self):
-        assert false_positive_rate(BinaryCounts(0, 0, 5, 5)) is None
+        assert false_positive_rate(binary_matrix(0, 0, 5, 5)) is None
 
     def test_scale_invariance(self):
-        b1 = BinaryCounts(100, 30, 20, 400)
-        b5 = BinaryCounts(500, 150, 100, 2000)
+        b1 = binary_matrix(100, 30, 20, 400)
+        b5 = binary_matrix(500, 150, 100, 2000)
         assert detection_rate(b1) == detection_rate(b5)
         assert false_positive_rate(b1) == false_positive_rate(b5)
 
@@ -164,7 +169,8 @@ class TestReports:
 
     def test_injected_binary_counts_render_published_rates(self):
         # Replaying the printed binary table through the rate formulas.
-        b = BinaryCounts(42138, 18455, 12528, 237908)
+        b = binary_matrix(42138, 18455, 12528, 237908)
+        assert collapse_to_binary(b) == (42138, 18455, 12528, 237908)
         assert f"{detection_rate(b):.4f}" == "0.9500"
         assert f"{false_positive_rate(b):.4f}" == "0.3046"
 
@@ -186,5 +192,5 @@ class TestReports:
         assert kv["false_positive_rate"] == "0.3046"
 
     def test_empty_matrix_still_renders(self):
-        text = format_table_report(ConfusionMatrix.empty())
+        text = format_table_report(ConfusionMatrix.from_pairs([]))
         assert "n/a" in text

@@ -681,6 +681,24 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "label, category, accepted",
+        [("smurf", "dos", True), ("smurf", "normal", False),
+         ("zerg_rush", "normal", True), ("zerg_rush", "dos", False)],
+    )
+    def test_category_is_the_one_training_gives(self, tmp_path, label, category, accepted):
+        # Training gives a label its ATTACK_CATEGORIES class, and an unknown
+        # (lenient) name FALLBACK_CATEGORY; a model row listing another
+        # category would report that label as the wrong class.
+        zeros, ones = " ".join(["0.0"] * NUM_FEATURES), " ".join(["1.0"] * NUM_FEATURES)
+        path = tmp_path / "m.model"
+        path.write_text(f"gaids-model 1 0.125 1 {NUM_FEATURES}\n{label} {category} 1 0.0 {zeros}\n{zeros}\n{ones}\n")
+        if accepted:
+            assert load_model(path).category_of == {label: category}
+        else:
+            with pytest.raises(ModelFormatError, match="training gives it"):
+                load_model(path)
+
     def test_rejects_overflowing_normalization_span(self, tmp_path):
         # Each bound is finite, but max - min is not: transform would make
         # every value of the feature NaN or 0.
@@ -697,10 +715,11 @@ class TestPersistence:
 
 def test_import_loads_no_engine_or_pools():
     # Loading a model is the start-up cost of every command: importing
-    # gaids.model must not pull in the GA engine, reporting or process pools.
+    # gaids.model must not pull in the GA engine, reporting, process pools
+    # or the logging framework.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    heavy = ["gaids.engine", "gaids.metrics", "concurrent.futures", "multiprocessing"]
+    heavy = ["gaids.engine", "gaids.metrics", "concurrent.futures", "multiprocessing", "logging"]
     probe = f"import sys, gaids.model; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
