@@ -9,19 +9,30 @@ survivor's nearest chromosome group is the prediction.
 
 How many rows survive each generation depends only on GaParams (`schedule`:
 32, 24, 18, 14, 11, 9, 7, 6, 5, 4, 3, 2, 1 for the defaults), so a block of
-R records advances together as one (R, P_g, n) float64 gene array. Each
-generation is:
+R records advances together as one (R, P_g, n) float64 gene array. Before
+the loop the block brackets each record's distance to every chromosome
+once (`kernels.record_bounds`), and generation 0 scores all R * P rows
+against the chromosomes `kernels.candidate_columns` keeps for each
+record's reach: those that can win for some row within that distance of
+its record. The block holds those columns, gathered, and the reach they
+were kept for. Each later generation is:
 
-1. `kernels.batch_fitness` on the (R * P_g, n) rows against the
-   chromosomes `kernels.candidate_columns` keeps: those that can win for
-   some row, from distance bounds around each record computed once per
-   block (`kernels.record_bounds`);
-2. `select`: a stable argsort of each record's fitness, keeping a prefix;
-3. `crossover`: masked suffix swaps on the row pairs (0,1), (2,3), ...;
-4. `mutate`: a masked single-gene update of each row.
+1. `select`: a stable argsort of each record's fitness, keeping a prefix
+   of the rows with their fitness and nearest chromosome;
+2. `crossover`: masked suffix swaps on the row pairs (0,1), (2,3), ...;
+3. `mutate`: a masked single-gene update of each row;
+4. `kernels.reach` of each record's rows: where it exceeds the held reach,
+   the held reach rises to it, and the columns those records keep join
+   the held ones;
+5. `kernels.batch_fitness` on the changed rows alone, against the held
+   columns: the rows of a pair whose crossover gate fired and the rows
+   whose mutation gate fired. Every other row holds the genes it was
+   scored with, and keeps its fitness and nearest chromosome.
 
 The masks of all generations are made once per block, from the block's
-draw tape (`decide`), before the loop starts.
+draw tape (`decide`), before the loop starts. The kernels module docstring
+(steps 6 and 7) shows why the held columns give each row what a scan over
+every chromosome would.
 
 No step mixes records, and the kernel returns for each row what a per-row
 scan over every chromosome would (the kernels module docstring proves it
@@ -142,12 +153,15 @@ class Tape(NamedTuple):
     deltas: np.ndarray
 
 
+def _tape_widths(params: GaParams, n: int) -> tuple[int, int, int]:
+    """(P-1)*n initial gene draws, C pairs and M rows of one record's tape."""
+    sizes = schedule(params)
+    return (sizes[0] - 1) * n, sum(s // 2 for s in sizes[1:]), sum(sizes[1:])
+
+
 def draw_tape(rngs: Sequence[np.random.Generator], params: GaParams, n: int) -> Tape:
     """Draw the tape of each record from its own stream."""
-    sizes = schedule(params)
-    init = (sizes[0] - 1) * n
-    pairs = sum(s // 2 for s in sizes[1:])
-    rows = sum(sizes[1:])
+    init, pairs, rows = _tape_widths(params, n)
     count = len(rngs)
     width = init + pairs + rows
     # numpy raises ValueError for a shape whose byte count overflows a
@@ -166,7 +180,7 @@ def draw_tape(rngs: Sequence[np.random.Generator], params: GaParams, n: int) -> 
     # A huge sigma overflows to +-inf, which the operators clamp to 1 or 0.
     with np.errstate(over="ignore"):
         normals *= params.mutation_sigma
-    shape = (count, sizes[0] - 1, n)
+    shape = (count, params.population_size - 1, n)
     return Tape(
         init_gates=uniforms[:, :init].reshape(shape),
         init_noise=normals[:, :init].reshape(shape),
@@ -191,17 +205,19 @@ def initialize_population(x: np.ndarray, gates: np.ndarray, noise: np.ndarray, r
     return genes
 
 
-def select(genes: np.ndarray, fitness: np.ndarray, removal_fraction: float) -> np.ndarray:
+def select(
+    genes: np.ndarray, fitness: np.ndarray, nearest: np.ndarray, removal_fraction: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drop the worst floor(removal_fraction * size) rows of each population
     along axis -2, at least one per call, never below one survivor. Rows are
     ranked ascending by fitness (shape genes.shape[:-1]), stable by index;
-    the survivors are a new array."""
+    the survivors' genes, fitness and nearest chromosome are new arrays."""
     size = genes.shape[-2]
     order = np.argsort(fitness, axis=-1, kind="stable")[..., : _survivors(size, removal_fraction)]
     # Row numbers in the populations stacked as one (-1, n) array: one
     # gather, where take_along_axis would index gene by gene.
     order += np.arange(0, fitness.size, size).reshape(order.shape[:-1] + (1,))
-    return genes.reshape(-1, genes.shape[-1])[order]
+    return genes.reshape(-1, genes.shape[-1])[order], fitness.reshape(-1)[order], nearest.reshape(-1)[order]
 
 
 def decide(tape: Tape, params: GaParams) -> tuple[np.ndarray, np.ndarray]:
@@ -235,26 +251,24 @@ def mutate(genes: np.ndarray, hit: np.ndarray, loci: np.ndarray, deltas: np.ndar
     genes[r, s, locus] = np.clip(genes[r, s, locus] + deltas[r, s], 0.0, 1.0)
 
 
-def _fitness(
-    genes: np.ndarray,
-    x: np.ndarray,
-    bounds: tuple[np.ndarray, np.ndarray],
-    model: ChromosomeModel,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fitness and nearest chromosome of each row of the (R, S, n)
-    populations of the records x, flattened, scanning only the kept
-    chromosomes, at most max(S, _BLOCK_ELEMENTS // kept) rows per call."""
-    cols = kernels.candidate_columns(genes, x, *bounds, model.denoms)
-    centroids, sq_norms, denoms = model.centroids[cols], model.sq_norms[cols], model.denoms[cols]
-    rows = genes.reshape(-1, genes.shape[2])
-    step = max(genes.shape[1], _BLOCK_ELEMENTS // cols.size)
+def _gather(kept: np.ndarray, model: ChromosomeModel) -> tuple[np.ndarray, ...]:
+    """The chromosomes set in the mask kept: ascending model indices, and
+    their centroids, squared norms and denominators."""
+    cols = np.flatnonzero(kept)
+    return cols, model.centroids[cols], model.sq_norms[cols], model.denoms[cols]
+
+
+def _fitness(rows: np.ndarray, scan: tuple[np.ndarray, ...], population: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fitness and nearest chromosome (model index) of each of the (M, n)
+    rows, scanning the chromosomes `_gather` gave, at most
+    max(population, _BLOCK_ELEMENTS // kept) rows per call."""
+    cols, centroids, sq_norms, denoms = scan
+    step = max(population, _BLOCK_ELEMENTS // cols.size)
     fitness = np.empty(rows.shape[0])
     nearest = np.empty(rows.shape[0], dtype=np.intp)
     for lo in range(0, rows.shape[0], step):
         part = slice(lo, lo + step)
-        fitness[part], nearest[part] = kernels.batch_fitness(
-            rows[part], centroids, sq_norms, denoms
-        )
+        fitness[part], nearest[part] = kernels.batch_fitness(rows[part], centroids, sq_norms, denoms)
     return fitness, cols[nearest]
 
 
@@ -270,20 +284,34 @@ def _search(
     tape = draw_tape(rngs, params, n)
     genes = initialize_population(x, tape.init_gates, tape.init_noise, params.mutation_rate)
     swaps, hits = decide(tape, params)
-    bounds = kernels.record_bounds(x, model.centroids, model.sq_norms)
-    fitness, nearest = _fitness(genes, x, bounds, model)
+    paired = np.repeat(swaps.any(axis=2), 2, axis=1)
+    lower, upper = kernels.record_bounds(x, model.centroids, model.sq_norms)
+    delta = kernels.reach(genes, x)
+    # The held columns as a mask; np.union1d would import numpy.ma, about
+    # 20 ms of a fresh process.
+    kept = np.zeros(model.centroids.shape[0], dtype=bool)
+    kept[kernels.candidate_columns(delta, lower, upper, model.denoms, n)] = True
+    scan = _gather(kept, model)
+    fitness, nearest = _fitness(genes.reshape(-1, n), scan, sizes[0])
+    fitness, nearest = fitness.reshape(count, -1), nearest.reshape(count, -1)
     pair = row = 0
     for size in sizes[1:]:
-        genes = select(genes, fitness.reshape(count, -1), params.removal_fraction)
+        genes, fitness, nearest = select(genes, fitness, nearest, params.removal_fraction)
         pairs = slice(pair, pair + size // 2)
         crossover(genes, swaps[:, pairs])
         rows = slice(row, row + size)
         mutate(genes, hits[:, rows], tape.loci[:, rows], tape.deltas[:, rows])
+        changed = hits[:, rows].copy()
+        changed[:, : 2 * (size // 2)] |= paired[:, 2 * pairs.start : 2 * pairs.stop]
         pair, row = pairs.stop, rows.stop
-        fitness, nearest = _fitness(genes, x, bounds, model)
+        grown = kernels.reach(genes, x)
+        wider = (grown > delta)[:, 0]
+        if wider.any():
+            delta[wider] = grown[wider]
+            kept[kernels.candidate_columns(delta[wider], lower[wider], upper[wider], model.denoms, n)] = True
+            scan = _gather(kept, model)
+        fitness[changed], nearest[changed] = _fitness(genes[changed], scan, sizes[0])
 
-    fitness = fitness.reshape(count, -1)
-    nearest = nearest.reshape(count, -1)
     predictions = []
     for r, best in enumerate(fitness.argmin(axis=1)):
         label = model.labels[nearest[r, best]]
@@ -313,14 +341,31 @@ def detect(
 
 # -- batch execution ---------------------------------------------------------
 
-# Records per block, R = max(1, _BLOCK_ELEMENTS // (P * n)), the unit of
-# work of the serial path and of each worker's share: the block's (R, P, n)
-# gene array holds at most this many elements, and so does each kernel call's
-# rows times kept chromosomes, or one population's P * K when a single
-# population keeps more. The kernel temporaries and the tape cost about 100 KB
-# of peak RSS per record: 13 records add about 1.5 MB to a process. The
-# block's (R, K) distance bounds add 16 R K bytes, about 0.4 MB at K = 1,916.
+# Each kernel call scores at most max(_BLOCK_ELEMENTS, P * K) row-chromosome
+# pairs: rows times kept chromosomes, or one population's P * K when a
+# single population keeps more.
 _BLOCK_ELEMENTS = 2**14
+
+# Bytes a block may hold for its records; _block_records divides it by
+# what one record holds.
+_BLOCK_BYTES = 2**21
+
+
+def _block_records(params: GaParams, n: int, k: int) -> int:
+    """R, the records per block, the unit of work of the serial path and of
+    each worker's share. A record holds its tape (2 (P-1) n + 2 C + 3 M
+    values), four arrays of its genes' size (the genes, `reach`'s
+    difference, and `batch_fitness`'s two (rows, n) gathers when one call
+    scores the whole block) and 3 K bound values (the two (R, K) rows the
+    block keeps, and one more while they are computed).
+
+    The count tracks the peak of the arrays a block allocates (tracemalloc,
+    seed 5): about 60 KB per record at K = 29 and 190 KB at K = 4,995,
+    against 62 and 181 KB counted. With P = 32, R is 33 at a few dozen
+    chromosomes, 30 at K = 331, 19 at K = 1,916 and 11 at K = 5,000."""
+    init, pairs, rows = _tape_widths(params, n)
+    per_record = 8 * (2 * init + 2 * pairs + 3 * rows + 4 * params.population_size * n + 3 * k)
+    return max(1, _BLOCK_BYTES // per_record)
 
 
 def _detect_block(state: tuple, block: tuple[int, int]) -> list[Prediction]:
@@ -340,7 +385,7 @@ def run_batch(
     by record count, into at most one share per worker, CPU and block: this
     process runs one share and a forked child each other (`parallel`), so a
     batch of one block runs in this process alone."""
-    step = max(1, _BLOCK_ELEMENTS // (params.population_size * model.centroids.shape[1]))
+    step = _block_records(params, model.centroids.shape[1], model.centroids.shape[0])
     blocks = [(lo, min(lo + step, len(records))) for lo in range(0, len(records), step)]
     parts = parallel.map_tasks(
         _detect_block,

@@ -47,15 +47,18 @@ score = d / (sqrt(n) denom), denom = spread + 1e-6 per chromosome.
    spare half, at least 8 (n+2) u s, covers the roundings of d2 -+ slack
    and of the square roots (below 9 u s, as d2 <= 2 s), so
    lo <= d(x, c) <= hi for the true distance.
-6. Reach (`candidate_columns`, once per generation): delta is the largest
-   d(g, x) over a record's rows, a float sum of squares, then raised by
-   the factor 1 + (n+8) eps and by 2 sqrt(tiny). In any order, such a sum
-   of n non-negative terms is within (n+2) u relative of the true square
-   plus tiny absolute, so delta exceeds every row's true d(g, x)
-   by at least sqrt(tiny). By the triangle inequality every row g of the
-   record then has lo - delta <= d(g, c) - sqrt(tiny) and
-   d(g, c) + sqrt(tiny) <= hi + delta for every chromosome c.
-7. Prune: per record, low = (lo - delta) / denom and
+6. Reach (`reach`): delta is the largest d(g, x) over a record's rows, a
+   float sum of squares, then raised by the factor 1 + (n+8) eps and by
+   2 sqrt(tiny). In any order, such a sum of n non-negative terms is
+   within (n+2) u relative of the true square plus tiny absolute, so delta
+   exceeds every row's true d(g, x) by at least sqrt(tiny). By the
+   triangle inequality every row g of the record then has
+   lo - delta <= d(g, c) - sqrt(tiny) and d(g, c) + sqrt(tiny) <= hi + delta
+   for every chromosome c. Any larger delta keeps both inequalities.
+   The engine holds a delta per record for a whole block: generation 0's
+   reach, raised to a later generation's reach wherever that is larger. The
+   held delta is then at least the reach of every row the record scores.
+7. Prune (`candidate_columns`): per record, low = (lo - delta) / denom and
    high = (hi + delta) / denom (each within 2 u relative of its real
    value), and
    cut = min(high) (1 + (n+16) eps) + tiny. The exact score of step 3 is
@@ -70,6 +73,18 @@ score = d / (sqrt(n) denom), denom = spread + 1e-6 per chromosome.
    in ascending order: each row's minimum and every chromosome tied with
    it are among them, so argmin over the kept columns, mapped back, is
    the lowest-index minimum over all of them, the same floats and index.
+   - Superset: float addition, subtraction, division by a positive denom,
+     multiplication by a positive factor and min are monotone under
+     round-to-nearest, so a larger delta gives each chromosome a lower or
+     equal low and the record a higher or equal cut: it keeps a superset,
+     and any ascending superset of the kept columns gives the same floats
+     and index. The block's set is the union of its records' sets, so
+     raising the held delta of some records and adding the columns those
+     records keep gives the set of the whole held delta.
+   - Carried rows: a row that neither crossover nor mutation touched holds
+     the bits it was scored with, and its score depends on its own genes
+     alone (steps 3 and 4), so the fitness and index it carries are what a
+     rescore over the current kept set would return.
 
 Training (`model._train_label`) settles most records' nearest chromosome
 from step 5 as well, with Elkan's and Hamerly's bounds and no scan. Its
@@ -175,27 +190,33 @@ def record_bounds(
     return lower, upper
 
 
+def reach(genes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(R, 1) raised reach delta of each record of x (R, n): the largest
+    distance from the record to a row of its (R, S, n) population (step 6)."""
+    diff = genes - x[:, None, :]
+    delta = np.sqrt(np.einsum("rsn,rsn->rs", diff, diff).max(axis=1, keepdims=True))
+    delta *= 1.0 + (x.shape[1] + 8) * _EPS
+    delta += 2 * _SQRT_TINY
+    return delta
+
+
 def candidate_columns(
-    genes: np.ndarray,
-    x: np.ndarray,
+    delta: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     denoms: np.ndarray,
+    n: int,
 ) -> np.ndarray:
     """Ascending indices of the chromosomes that can win or tie for some row
-    of the (R, S, n) populations of the records x (R, n), whose distance
-    bounds `record_bounds` gave as lower and upper (steps 6 and 7)."""
-    n = x.shape[1]
-    diff = genes - x[:, None, :]
-    reach = np.sqrt(np.einsum("rsn,rsn->rs", diff, diff).max(axis=1, keepdims=True))
-    reach *= 1.0 + (n + 8) * _EPS
-    reach += 2 * _SQRT_TINY
-    high = upper + reach
+    of n features within the reach delta (R, 1) of its record, whose
+    distance bounds `record_bounds` gave as lower and upper (step 7). A
+    larger delta keeps a superset."""
+    high = upper + delta
     high /= denoms
     cut = high.min(axis=1, keepdims=True)
     cut *= 1.0 + (n + 16) * _EPS
     cut += _TINY
-    low = np.subtract(lower, reach, out=high)
+    low = np.subtract(lower, delta, out=high)
     low /= denoms
     return np.nonzero((low <= cut).any(axis=0))[0]
 

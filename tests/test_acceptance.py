@@ -180,7 +180,7 @@ def test_criterion_8_shrink_schedule():
     pop = np.repeat(fitness[:, None], NUM_FEATURES, axis=1)
     sizes = [len(pop)]
     while len(pop) > 1:
-        pop = select(pop, pop[:, 0], 0.25)
+        pop, _, _ = select(pop, pop[:, 0], np.arange(len(pop)), 0.25)
         sizes.append(len(pop))
     expected = [32, 24, 18, 14, 11, 9, 7, 6, 5, 4, 3, 2, 1]
     ok = sizes == expected and len(sizes) == 13

@@ -31,6 +31,14 @@ def workspace(tmp_path):
     return tmp_path, train, test
 
 
+def several_blocks(tmp_path):
+    """A test file of 120 records: four detection blocks against the
+    workspace's model, so that --workers above 1 forks."""
+    test = tmp_path / "blocks.kdd"
+    test.write_text("\n".join(generate_lines(3, 40, 0.5, 0.02, seed=2)) + "\n")
+    return test
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -284,7 +292,8 @@ class TestDetectCommand:
         assert out1 == out2
 
     def test_parallel_rows_identical(self, workspace, capsys):
-        tmp, train, test = workspace
+        tmp, train, _ = workspace
+        test = several_blocks(tmp)
         model_path = tmp / "m.model"
         run_cli(capsys, "train", "--train-file", str(train), "--model", str(model_path))
         base = ["detect", "--model", str(model_path), "--test-file", str(test)]
@@ -405,7 +414,8 @@ class TestDetectCommand:
 
 class TestEvaluateCommand:
     def test_reports_and_parallel_equivalence(self, workspace, capsys):
-        tmp, train, test = workspace
+        tmp, train, _ = workspace
+        test = several_blocks(tmp)
         model_path = tmp / "m.model"
         run_cli(capsys, "train", "--train-file", str(train), "--model", str(model_path))
         base = ["evaluate", "--model", str(model_path), "--test-file", str(test), "--seed", "5"]

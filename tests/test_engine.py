@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -241,13 +245,21 @@ class TestSelect:
         genes[:, 0] = fitnesses
         return genes
 
+    def survivors(self, pop, removal_fraction):
+        """The surviving rows; each carries its own fitness and, as its
+        nearest chromosome, its index."""
+        genes, fitness, nearest = select(pop, pop[:, 0], np.arange(len(pop)), removal_fraction)
+        assert np.array_equal(fitness, genes[:, 0])
+        assert np.array_equal(pop[nearest], genes)
+        return genes
+
     def test_single_survivor_unchanged(self):
         pop = self.make_pop([3.0])
-        assert len(select(pop, pop[:, 0], 0.25)) == 1
+        assert len(self.survivors(pop, 0.25)) == 1
 
     def test_four_drop_worst(self):
         pop = self.make_pop([0.4, 0.1, 0.9, 0.2])
-        survivors = select(pop, pop[:, 0], 0.25)
+        survivors = self.survivors(pop, 0.25)
         assert len(survivors) == 3
         assert survivors[:, 0].tolist() == [0.1, 0.2, 0.4]
 
@@ -256,7 +268,7 @@ class TestSelect:
         pop = self.make_pop(range(32))
         sizes = [len(pop)]
         while len(pop) > 1:
-            pop = select(pop, pop[:, 0], 0.25)
+            pop = self.survivors(pop, 0.25)
             sizes.append(len(pop))
         assert sizes == [32, 24, 18, 14, 11, 9, 7, 6, 5, 4, 3, 2, 1]
         assert len(sizes) == 13
@@ -264,12 +276,12 @@ class TestSelect:
     def test_strict_shrink_above_one(self):
         for size in range(2, 40):
             pop = self.make_pop(range(size))
-            survivors = select(pop, pop[:, 0], 0.01)
+            survivors = self.survivors(pop, 0.01)
             assert len(survivors) == size - 1
 
     def test_ties_stable_by_index(self):
         pop = self.make_pop([1.0, 1.0, 1.0, 2.0])
-        survivors = select(pop, pop[:, 0], 0.5)
+        survivors = self.survivors(pop, 0.5)
         assert np.array_equal(survivors, pop[:2])
 
 
@@ -479,14 +491,17 @@ class TestDetect:
         pair = row = 0
         sizes = schedule(params)
         for size, survivors_size in zip(sizes, sizes[1:]):
-            fitness, _ = kernels.batch_fitness(genes.reshape(-1, NUM_FEATURES), m.centroids, m.sq_norms, m.denoms)
+            fitness, nearest = kernels.batch_fitness(genes.reshape(-1, NUM_FEATURES), m.centroids, m.sq_norms, m.denoms)
             fitness = np.floor(4.0 * fitness).reshape(records, size)
-            survivors = select(genes, fitness, params.removal_fraction)
+            nearest = nearest.reshape(records, size)
+            survivors, kept_fitness, kept_nearest = select(genes, fitness, nearest, params.removal_fraction)
             assert survivors.shape == (records, survivors_size, NUM_FEATURES)
             assert 1 <= survivors_size < size
             for r in range(records):
-                order = sorted(range(size), key=lambda i: fitness[r, i])
-                assert np.array_equal(survivors[r], genes[r, order[:survivors_size]])
+                order = sorted(range(size), key=lambda i: fitness[r, i])[:survivors_size]
+                assert np.array_equal(survivors[r], genes[r, order])
+                assert np.array_equal(kept_fitness[r], fitness[r, order])
+                assert np.array_equal(kept_nearest[r], nearest[r, order])
             assert in_unit_cube(survivors)
             genes = survivors
             pairs = slice(pair, pair + survivors_size // 2)
@@ -613,7 +628,156 @@ class TestDetect:
         assert blocked == alone
 
 
+def reference_search(x, rngs, model, params):
+    """The generation loop without carried scores or a held keep set: every
+    generation keeps the columns for the reach of its own rows and scores
+    every row. Returns (label, fitness, generations) per record."""
+    sizes = schedule(params)
+    count, n = x.shape
+    tape = draw_tape(rngs, params, n)
+    genes = initialize_population(x, tape.init_gates, tape.init_noise, params.mutation_rate)
+    swaps, hits = decide(tape, params)
+    bounds = kernels.record_bounds(x, model.centroids, model.sq_norms)
+
+    def score(genes):
+        cols = kernels.candidate_columns(kernels.reach(genes, x), *bounds, model.denoms, n)
+        fitness, idx = kernels.batch_fitness(
+            genes.reshape(-1, n), model.centroids[cols], model.sq_norms[cols], model.denoms[cols]
+        )
+        return fitness.reshape(count, -1), cols[idx].reshape(count, -1)
+
+    fitness, nearest = score(genes)
+    pair = row = 0
+    for size in sizes[1:]:
+        genes, _, _ = select(genes, fitness, nearest, params.removal_fraction)
+        crossover(genes, swaps[:, pair : pair + size // 2])
+        mutate(genes, hits[:, row : row + size], tape.loci[:, row : row + size], tape.deltas[:, row : row + size])
+        pair, row = pair + size // 2, row + size
+        fitness, nearest = score(genes)
+    best = fitness.argmin(axis=1)
+    return [(model.labels[nearest[r, b]], fitness[r, b], len(sizes)) for r, b in enumerate(best)]
+
+
+def test_detection_loads_no_masked_arrays():
+    # np.unique and np.union1d import numpy.ma, about 20 ms of a fresh
+    # `gaids evaluate` process; a block's search must not call them.
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, numpy as np\n"
+        "from gaids import engine\n"
+        "from conftest import dataset, random_model, record\n"
+        "rng = np.random.default_rng(3)\n"
+        "recs = dataset(record(v) for v in rng.random((60, 38)))\n"
+        "engine.run_batch(recs, random_model(rng, 300), engine.GaParams(mutation_sigma=0.5))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestHeldKeepSet:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        population_size=st.integers(1, 40),
+        crossover_rate=RATES,
+        mutation_rate=RATES,
+        mutation_sigma=st.one_of(st.sampled_from([0.0, 0.05, 5.0]), st.floats(0.0, 5.0)),
+        records=st.integers(1, 13),
+        seed=st.integers(0, 2**64 - 1),
+        chromosomes=st.integers(1, 60),
+        near_copies=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=10),
+    )
+    def test_search_equals_reference_loop(
+        self, population_size, crossover_rate, mutation_rate, mutation_sigma, records, seed, chromosomes, near_copies
+    ):
+        # The block search, which scores only the rows that crossover or
+        # mutation changed and widens one keep set as reaches grow, gives
+        # each record the same label and fitness, bit for bit, as the loop
+        # that rescores every row against each generation's own keep set.
+        # Near-copies of chromosomes tie or almost tie.
+        rng = record_rng(seed, 0)
+        m = random_model(rng, chromosomes)
+        centroids = m.centroids.copy()
+        for src, dst in near_copies:
+            offset = rng.choice([-1e-9, 0.0, 1e-9], NUM_FEATURES)
+            centroids[dst % chromosomes] = np.clip(centroids[src % chromosomes] + offset, 0.0, 1.0)
+        m = build_model(centroids, m.labels, spreads=m.spreads)
+        near = centroids[rng.integers(0, chromosomes, records)] + rng.normal(0.0, 0.02, (records, NUM_FEATURES))
+        x = np.where(rng.random((records, 1)) < 0.5, np.clip(near, 0.0, 1.0), rng.random((records, NUM_FEATURES)))
+        params = GaParams(
+            population_size=population_size,
+            crossover_rate=crossover_rate,
+            mutation_rate=mutation_rate,
+            mutation_sigma=mutation_sigma,
+            seed=seed,
+        )
+        rngs = lambda: [record_rng(seed, i) for i in range(records)]  # noqa: E731
+        got = [(p.attack_name, p.survivor_fitness, p.generations_run) for p in engine._search(x, rngs(), m, params)]
+        assert got == reference_search(x, rngs(), m, params)
+
+    def spy(self, monkeypatch):
+        """Record each batch_fitness call's (rows, columns) and each
+        candidate_columns call's record count."""
+        scans, keeps = [], []
+        scan, keep = kernels.batch_fitness, kernels.candidate_columns
+
+        def counting_scan(genes, centroids, sq_norms, denoms):
+            scans.append((genes.shape[0], centroids.shape[0]))
+            return scan(genes, centroids, sq_norms, denoms)
+
+        def counting_keep(delta, *rest):
+            keeps.append(delta.shape[0])
+            return keep(delta, *rest)
+
+        monkeypatch.setattr(kernels, "batch_fitness", counting_scan)
+        monkeypatch.setattr(kernels, "candidate_columns", counting_keep)
+        return scans, keeps
+
+    def test_unchanged_rows_are_not_rescored(self, monkeypatch):
+        # With no crossover and no mutation no row ever changes, so only
+        # generation 0 scores rows, and each block computes its keep set once.
+        rng = record_rng(7, 0)
+        m = random_model(rng, 40)
+        params = GaParams(seed=3, crossover_rate=0.0, mutation_rate=0.0)
+        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(9))
+        alone = [detect(rec, m, params, record_rng(params.seed, i)) for i, rec in enumerate(recs)]
+        scans, keeps = self.spy(monkeypatch)
+        assert run_batch(recs, m, params) == alone
+        assert sum(rows for rows, _ in scans) == 9 * params.population_size
+        assert keeps == [9]
+
+    @pytest.mark.parametrize("sigma, rate", [(3.0, 1.0), (0.05, 0.35)])
+    def test_keep_set_widens_inside_a_block(self, monkeypatch, sigma, rate):
+        # Later generations reach past generation 0's rows: the keep set is
+        # recomputed for the records whose reach grew, and the scanned columns
+        # never shrink within the block; at sigma 3 every chromosome is kept
+        # from the start, at sigma 0.05 the set grows. Every record still
+        # gets what detect gives it alone.
+        rng = record_rng(31, 0)
+        m = random_model(rng, 200)
+        params = GaParams(seed=5, mutation_sigma=sigma, mutation_rate=rate, crossover_rate=rate)
+        near = m.centroids[rng.integers(0, 200, 8)] + rng.normal(0.0, 0.02, (8, NUM_FEATURES))
+        recs = dataset(record(p) for p in np.clip(near, 0.0, 1.0))
+        alone = [detect(rec, m, params, record_rng(params.seed, i)) for i, rec in enumerate(recs)]
+        scans, keeps = self.spy(monkeypatch)
+        assert run_batch(recs, m, params) == alone
+        assert keeps[0] == 8 and len(keeps) > 1 and max(keeps[1:]) < 8
+        columns = [cols for _, cols in scans]
+        assert columns == sorted(columns)
+        if sigma < 1.0:
+            assert columns[-1] > columns[0]
+        else:
+            assert columns[0] == 200
+
+
 class TestRunBatch:
+    # Records per block at P = 32 against the 8 chromosomes of these tests.
+    R = 34
+
     def test_empty_input(self, rng):
         assert run_batch(dataset([]), random_model(rng, 3), GaParams()) == []
 
@@ -625,7 +789,7 @@ class TestRunBatch:
 
     def test_parallel_equals_serial(self, rng):
         m = random_model(rng, 8)
-        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(30))
+        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(2 * self.R + 1))
         params = GaParams(seed=11)
         serial = run_batch(recs, m, params, workers=1)
         parallel = run_batch(recs, m, params, workers=3)
@@ -657,18 +821,28 @@ class TestRunBatch:
         assert run_batch(recs, m, params, workers=workers) == run_batch(recs, m, params)
         return requested
 
+    def test_block_records_counts_tape_genes_and_bounds(self):
+        # R shrinks as K grows, since each record holds (R, K) bound rows:
+        # about 33 records against a few dozen chromosomes, 19 at
+        # many-prototypes' K = 1,916, one at any K too large for a block.
+        params = GaParams()
+        assert engine._block_records(params, NUM_FEATURES, 8) == self.R
+        sizes = [engine._block_records(params, NUM_FEATURES, k) for k in (29, 331, 1916, 5000, 10**6)]
+        assert sizes == [33, 30, 19, 11, 1]
+        assert engine._block_records(GaParams(population_size=1), NUM_FEATURES, 1) > sizes[0]
+
     @pytest.mark.parametrize(
-        "records, pools", [(2, []), (27, [3])], ids=["one-block", "three-blocks"]
+        "records, pools", [(2, []), (2 * R + 1, [3])], ids=["one-block", "three-blocks"]
     )
     def test_pool_no_larger_than_block_count(self, rng, monkeypatch, records, pools):
-        # At P = 32 a block holds 13 records. Two records are one block, so
-        # eight workers run it in this process; 27 records are three blocks,
-        # so they ask for three processes, not eight.
+        # At P = 32 a block holds R records. Two records are one block, so
+        # eight workers run it in this process; 2R + 1 records are three
+        # blocks, so they ask for three processes, not eight.
         assert self.pool_sizes(rng, monkeypatch, records=records, workers=8, cpus=8) == pools
 
     def test_pool_receives_whole_blocks(self, rng, monkeypatch):
-        # The batch is cut into blocks once: 40 records reach the search as
-        # blocks of 13, 13, 13 and 1, whatever the shares' split.
+        # The batch is cut into blocks once: 3R + 1 records reach the search
+        # as blocks of R, R, R and 1, whatever the shares' split.
         requested = self.spy_pool(monkeypatch, cpus=3)
         blocks = []
         search = engine._search
@@ -678,16 +852,16 @@ class TestRunBatch:
             return search(x, rngs, model, params)
 
         monkeypatch.setattr(engine, "_search", counting)
-        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(40))
+        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(3 * self.R + 1))
         run_batch(recs, random_model(rng, 8), GaParams(seed=11), workers=3)
         assert requested == [3]
-        assert blocks == [13, 13, 13, 1]
+        assert blocks == [self.R, self.R, self.R, 1]
 
     @pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, [])])
     def test_pool_no_larger_than_cpu_count(self, rng, monkeypatch, cpus, pools):
         # --workers 500 never forks 500 processes; on one CPU the records
         # run in this process, without a pool.
-        assert self.pool_sizes(rng, monkeypatch, records=40, workers=500, cpus=cpus) == pools
+        assert self.pool_sizes(rng, monkeypatch, records=2 * self.R + 1, workers=500, cpus=cpus) == pools
 
     def test_per_record_streams_are_independent_of_position(self, rng):
         # Record i always uses PCG64(seed ^ i): the same record at the same
@@ -701,14 +875,14 @@ class TestRunBatch:
 
     @settings(max_examples=4, deadline=None, derandomize=True)
     @given(
-        count=st.integers(1, 39),
-        population_size=st.integers(20, 32),
+        count=st.integers(1, 2 * R + 1),
+        population_size=st.integers(24, 32),
         seed=st.integers(0, 2**64 - 1),
     )
-    @example(count=39, population_size=32, seed=0)
+    @example(count=2 * R + 1, population_size=32, seed=0)
     def test_worker_counts_give_equal_output(self, count, population_size, seed):
         # Real fork-joins of up to three processes, allowed three CPUs whatever
-        # the host has; blocks hold 13 to 21 records, so a draw spans one to
+        # the host has; blocks hold 34 to 45 records, so a draw spans one to
         # three blocks (the explicit example is three). The per-record
         # streams make every split agree.
         rng = record_rng(seed, 0)

@@ -257,22 +257,47 @@ def test_screened_scan_equals_direct_scan_property(case):
         assert screened_scan(x, centroids) in (None, kernels.nearest_centroid(x, centroids))
 
 
+def scan_columns(rows, m, cols):
+    """batch_fitness over the columns cols of the model m, indices mapped
+    back to the model's."""
+    values, idx = kernels.batch_fitness(rows, m.centroids[cols], m.sq_norms[cols], m.denoms[cols])
+    return values, cols[idx]
+
+
 def assert_pruned_matches_loop(x, populations, centroids, spreads):
     """The engine's pruned scan, bounds around the (R, n) records x taken
     once and then for each (R, S, n) population in turn batch_fitness on the
     kept columns only, equals the reference loop over every chromosome bit
-    for bit. Returns the kept column counts."""
+    for bit. So does the scan over the columns of the reach held across the
+    populations, the largest each record has reached so far, which the
+    engine widens by the records whose reach grew. Returns the kept column
+    counts."""
     m = build_model(centroids, ["normal"] * len(centroids), spreads=spreads)
-    bounds = kernels.record_bounds(x, m.centroids, m.sq_norms)
+    lower, upper = kernels.record_bounds(x, m.centroids, m.sq_norms)
+    n = x.shape[1]
     kept = []
+    held = None
     for genes in populations:
-        cols = kernels.candidate_columns(genes, x, *bounds, m.denoms)
-        rows = genes.reshape(-1, x.shape[1])
-        values, idx = kernels.batch_fitness(rows, m.centroids[cols], m.sq_norms[cols], m.denoms[cols])
+        delta = kernels.reach(genes, x)
+        cols = kernels.candidate_columns(delta, lower, upper, m.denoms, n)
+        rows = genes.reshape(-1, n)
         expected_values, expected_idx = loop_fitness(rows, centroids, spreads, SPREAD_EPSILON)
+        values, idx = scan_columns(rows, m, cols)
         assert np.array_equal(values, expected_values)
-        assert np.array_equal(cols[idx], expected_idx)
+        assert np.array_equal(idx, expected_idx)
         kept.append(cols.size)
+        if held is None:
+            held, held_cols = delta, cols
+        else:
+            wider = (delta > held)[:, 0]
+            held = np.maximum(held, delta)
+            more = kernels.candidate_columns(held[wider], lower[wider], upper[wider], m.denoms, n)
+            held_cols = np.union1d(held_cols, more)
+            assert np.array_equal(held_cols, kernels.candidate_columns(held, lower, upper, m.denoms, n))
+        assert np.isin(cols, held_cols).all()
+        values, idx = scan_columns(rows, m, held_cols)
+        assert np.array_equal(values, expected_values)
+        assert np.array_equal(idx, expected_idx)
     return kept
 
 
@@ -339,3 +364,27 @@ def pruning_cases(draw):
 @given(pruning_cases())
 def test_pruned_scan_equals_loop_property(case):
     assert_pruned_matches_loop(*case)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pruning_cases(), st.lists(st.sampled_from([1.0, 1.0 + 1e-15, 1.4, 3.0, 1e3]), min_size=3, max_size=3))
+def test_larger_reach_keeps_a_superset_with_equal_scores(case, factors):
+    # For reaches delta <= delta' record by record, the columns kept at
+    # delta' include those kept at delta, and batch_fitness over either set
+    # gives the same floats and the same mapped indices.
+    x, populations, centroids, spreads = case
+    m = build_model(centroids, ["normal"] * len(centroids), spreads=spreads)
+    bounds = kernels.record_bounds(x, m.centroids, m.sq_norms)
+    n = x.shape[1]
+    for genes in populations:
+        delta = kernels.reach(genes, x)
+        wide = delta * np.array(factors[: len(x)])[:, None]
+        cols = kernels.candidate_columns(delta, *bounds, m.denoms, n)
+        wide_cols = kernels.candidate_columns(wide, *bounds, m.denoms, n)
+        assert np.isin(cols, wide_cols).all()
+        assert np.array_equal(wide_cols, np.unique(wide_cols))
+        rows = genes.reshape(-1, n)
+        narrow_values, narrow_idx = scan_columns(rows, m, cols)
+        wide_values, wide_idx = scan_columns(rows, m, wide_cols)
+        assert np.array_equal(narrow_values, wide_values)
+        assert np.array_equal(narrow_idx, wide_idx)

@@ -96,7 +96,8 @@ def test_child_exception_keeps_its_type():
 def test_child_out_of_memory_exits_config(tmp_path, capsys, monkeypatch):
     train, test, model_path = tmp_path / "train", tmp_path / "test", tmp_path / "m.model"
     train.write_text("\n".join(generate_lines(3, 20, 0.5, 0.02, seed=1)) + "\n")
-    test.write_text("\n".join(generate_lines(3, 10, 0.5, 0.02, seed=2)) + "\n")
+    # 120 test records are four blocks, so the evaluation forks.
+    test.write_text("\n".join(generate_lines(3, 40, 0.5, 0.02, seed=2)) + "\n")
     assert cli.main(["train", "--train-file", str(train), "--model", str(model_path)]) == 0
     capsys.readouterr()
     parent, detect_block = os.getpid(), engine._detect_block
