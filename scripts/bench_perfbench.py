@@ -15,28 +15,22 @@ and both sides must print the same prediction digest; otherwise the script
 exits 1.
 
 For every end-to-end metric of BENCHMARK.json it reports each side's median
-and quartiles, the pairs each side won (ties count for neither), whether
-the change's median is worse than the parent's by more than the metric's
-bound, and whether the change counts as a gain: it wins at least nine
-tenths of the pairs and the medians differ by more than the parent's
-interquartile range.
+and quartiles, the pairs each side won, and, by the rules of
+harness.compare, the check against the metric's bound and the gain rule.
 """
 
 from __future__ import annotations
 
-import argparse
 import filecmp
 import json
-import os
 import platform
-import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SIDES = ("parent", "change")
+import harness
+from harness import SIDES, quartiles
 
 
 def same_tree(a: Path, b: Path) -> bool:
@@ -71,89 +65,39 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def quartiles(values: list[float]) -> dict:
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    return {"median": round(q2, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
-
-
-def compare(runs: dict[str, list[dict]], metric: dict) -> dict | None:
-    """One end-to-end metric over the pairs of one workload."""
-    name, higher = metric["name"], metric["better"] == "higher"
-    values = {side: [r["metrics"].get(name) for r in runs[side]] for side in SIDES}
-    if any(v is None for side in SIDES for v in values[side]):
-        return None
-    out = {side: quartiles(values[side]) for side in SIDES}
-    pairs = list(zip(values["parent"], values["change"]))
-    better = (lambda c, p: c > p) if higher else (lambda c, p: c < p)
-    won = sum(better(c, p) for p, c in pairs)
-    lost = sum(better(p, c) for p, c in pairs)
-    parent, change = out["parent"], out["change"]
-    iqr = parent["q3"] - parent["q1"]
-    worse = (parent["median"] - change["median"]) if higher else (change["median"] - parent["median"])
-    out.update({
-        "pairs": len(pairs),
-        "pairs_change_better": won,
-        "pairs_parent_better": lost,
-        "change_over_parent_median": round(change["median"] / parent["median"], 4) if parent["median"] else None,
-        "bound": metric["bound"],
-        "worse_than_bound": worse > metric["bound"] * abs(parent["median"]),
-        "parent_spread_wider_than_bound": iqr > metric["bound"] * abs(parent["median"]),
-        "gain": won >= 0.9 * len(pairs) and -worse > iqr,
-    })
-    return out
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="tree of the parent commit")
-    parser.add_argument("--change", default=str(ROOT), help="tree of the change")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_perfbench.json"))
+    parser = harness.pair_parser(__doc__, "BENCH_perfbench.json", seed=1, pairs_help="pairs per workload",
+                                 marker="perfbench/run.py")
     args = parser.parse_args()
-    if args.pairs < 4:
-        parser.error("--pairs must be at least 4, for quartiles")
-    trees = {side: Path(getattr(args, side)).resolve() for side in SIDES}
-    for side, tree in trees.items():
-        if not (tree / "perfbench" / "run.py").is_file():
-            parser.error(f"--{side}: no perfbench/run.py under {tree}")
-    if not same_tree(trees["parent"] / "perfbench", trees["change"] / "perfbench"):
+    if not same_tree(args.parent / "perfbench", args.change / "perfbench"):
         parser.error("the two trees hold different perfbench/ files")
-    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
 
     runs = {w: {side: [] for side in SIDES} for w in workloads}
-    for pair in range(args.pairs):
+    for pair, (_, order) in enumerate(harness.alternating(args.pairs, warmup=False)):
         for workload in workloads:
-            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                result = run_once(trees[side], workload, args.seed, bench["run_seconds"])
+            for side in order:
+                result = run_once(getattr(args, side), workload, args.seed, bench["run_seconds"])
                 runs[workload][side].append(result)
                 rate = result["metrics"].get("evaluate_records_per_s")
                 print(f"pair {pair} {workload} {side}: code {result['code']}, "
                       f"evaluate_records_per_s {rate}", flush=True)
 
     errors = []
-    report = {
-        "what": "perfbench/run.py --trace 0 on the parent and the change, in alternating pairs",
-        "command": f"python3 scripts/bench_perfbench.py --parent PARENT --change CHANGE "
-                   f"--seed {args.seed} --pairs {args.pairs}",
-        "machine": platform.machine(),
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "seed": args.seed,
-        "run_seconds": bench["run_seconds"],
-        "workloads": {},
-    }
+    report = harness.header("perfbench/run.py --trace 0 on the parent and the change, in alternating pairs",
+                            args, machine=platform.machine(), run_seconds=bench["run_seconds"], workloads={})
     for workload in workloads:
         sides = runs[workload]
         for side in SIDES:
             for r in sides[side]:
                 if r["code"] != 0 or not r["correct"]:
                     errors.append(f"{workload} {side}: run exited {r['code']}, correct {r['correct']}")
-        if len({r["digest"] for side in SIDES for r in sides[side]}) != 1:
+        digests = sorted({str(r["digest"]) for side in SIDES for r in sides[side]})
+        if len(digests) != 1:
             errors.append(f"{workload}: prediction digests differ")
         entry = {
-            "prediction_digests": sorted({str(r["digest"]) for side in SIDES for r in sides[side]}),
+            "prediction_digests": digests,
             "host_steal_max": max((r["host_steal"] or 0.0) for side in SIDES for r in sides[side]),
             "failed_over_attempted": {side: [sum(r["failed"] for r in sides[side]),
                                              sum(r["attempted"] for r in sides[side])] for side in SIDES},
@@ -161,15 +105,12 @@ def main() -> int:
             "runs": sides,
         }
         for metric in bench["end_to_end"]:
-            compared = compare(sides, metric)
-            if compared is not None:
-                entry["metrics"][metric["name"]] = compared
+            values = {side: [r["metrics"].get(metric["name"]) for r in sides[side]] for side in SIDES}
+            if None not in values["parent"] + values["change"]:
+                entry["metrics"][metric["name"]] = {side: quartiles(values[side]) for side in SIDES} | \
+                    harness.compare(values["parent"], values["change"], metric["better"], metric["bound"])
         report["workloads"][workload] = entry
-    report["errors"] = errors
-    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
-    for e in errors:
-        print(f"error: {e}", file=sys.stderr)
-    return 1 if errors else 0
+    return harness.finish(report, errors, args.out)
 
 
 if __name__ == "__main__":

@@ -24,36 +24,21 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+import harness
+from harness import ROOT
+
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import numpy as np  # noqa: E402
-
-import kddgen  # noqa: E402
-from run import WORKLOADS  # noqa: E402
 
 from gaids import engine, ingest, kernels, model  # noqa: E402
 
 GRID = (16, 32, 64, 128, 256)
-
-
-def training_set(name: str, seed: int, tmp: Path):
-    """The workload's training records of `seed` and their normalization."""
-    wl = WORKLOADS[name]
-    path = tmp / f"{name}-{seed}.train"
-    kddgen.write_lines(path, kddgen.generate(wl.spec, seed=seed).train_lines)
-    records, _ = ingest.load_file(path, strict=not wl.lenient)
-    return records, ingest.fit_normalization(records)
 
 
 def train(records, stats, rows: int):
@@ -82,12 +67,11 @@ def fallbacks(records, stats, rows: int, path: Path) -> int:
 def sweep(records, stats, rounds: int, tmp: Path) -> tuple[dict, list[str]]:
     """Median ms and fallback share of each block size on one training set."""
     times: dict[int, list[float]] = {rows: [] for rows in GRID}
-    for r in range(rounds + 1):  # round 0 warms up, untimed
-        order = GRID[r % len(GRID):] + GRID[: r % len(GRID)]
+    for timed, order in harness.alternating(rounds, GRID):
         for rows in order:
             start = time.perf_counter()
             train(records, stats, rows)
-            if r:
+            if timed:
                 times[rows].append(time.perf_counter() - start)
     out, errors, saved = {}, [], set()
     for rows in GRID:
@@ -100,19 +84,11 @@ def sweep(records, stats, rounds: int, tmp: Path) -> tuple[dict, list[str]]:
     return out, errors
 
 
-def host() -> str:
-    try:
-        with open("/proc/cpuinfo") as fh:
-            names = [ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")]
-    except OSError:
-        names = []
-    return f"{platform.machine()} {names[0] if names else platform.processor()}".strip()
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[5, 11, 12, 13])
-    parser.add_argument("--rounds", type=int, default=7, help="timed runs per size and seed")
+    parser.add_argument("--rounds", type=harness.at_least(1, "for a median"), default=7,
+                        help="timed runs per size and seed")
     parser.add_argument("--out", default=str(ROOT / "BENCH_train_bounds.json"))
     args = parser.parse_args()
 
@@ -121,11 +97,12 @@ def main() -> int:
     errors = []
     with tempfile.TemporaryDirectory() as tmpdir:
         tmp = Path(tmpdir)
-        for name in sorted(WORKLOADS):
+        flags = {seed: harness.write_workloads(ROOT, tmp / str(seed), seed) for seed in args.seeds}
+        for name in sorted(flags[args.seeds[0]]):
             results[name] = {}
             for seed in args.seeds:
-                records, stats = training_set(name, seed, tmp)
-                table, errs = sweep(records, stats, args.rounds, tmp)
+                records, _ = ingest.load_file(tmp / str(seed) / f"{name}.train", strict=not flags[seed][name]["lenient"])
+                table, errs = sweep(records, ingest.fit_normalization(records), args.rounds, tmp)
                 errors += [f"{name} seed {seed}: {e}" for e in errs]
                 results[name][str(seed)] = table
                 print(name, seed, json.dumps(table), flush=True)
@@ -145,28 +122,14 @@ def main() -> int:
         } | {"mean_time_over_fastest": round(slowdown[rows], 3)}
         for rows in GRID
     }
-    report = {
-        "what": "model.precalculate in-process, one process, at each number of records per "
-                "bound block (model.BOUND_ROWS): median ms over rounds, and the share of training "
-                "records that reach the direct scan, per workload and seed",
-        "command": f"python3 scripts/bench_train_bounds.py --seeds {' '.join(map(str, args.seeds))} "
-                   f"--rounds {args.rounds}",
-        "host": host(),
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "openblas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        "bound_rows": committed,
-        "best_bound_rows": best,
-        "sweep": by_size,
-        "errors": errors,
-    }
-    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    report = harness.header(
+        "model.precalculate in-process, one process, at each number of records per "
+        "bound block (model.BOUND_ROWS): median ms over rounds, and the share of training "
+        "records that reach the direct scan, per workload and seed", args,
+        bound_rows=committed, best_bound_rows=best, sweep=by_size)
     if best != committed:
         print(f"note: model.BOUND_ROWS is {committed}, the sweep's best is {best}", file=sys.stderr)
-    for e in errors:
-        print(f"error: {e}", file=sys.stderr)
-    return 1 if errors else 0
+    return harness.finish(report, errors, args.out)
 
 
 if __name__ == "__main__":

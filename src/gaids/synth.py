@@ -16,15 +16,15 @@ from .ingest import NUM_FEATURES, SYMBOLIC_POSITIONS
 
 SYMBOLIC_PLACEHOLDERS = ("tcp", "http", "SF")
 
-# Cluster labels cycle through these (distinct categories first, so small
-# cluster counts exercise every class).
-DEFAULT_LABELS = (
+# Cluster i takes label i (distinct categories first, so small cluster counts
+# exercise every class).
+LABELS = (
     "normal", "smurf", "nmap", "perl", "guess_passwd",
     "neptune", "portsweep", "rootkit", "warezmaster", "back",
 )
 
 
-def make_centers(clusters: int, separation: float, num_features: int = NUM_FEATURES) -> np.ndarray:
+def make_centers(clusters: int, separation: float) -> np.ndarray:
     """Centers with pairwise normalized distance >= separation.
 
     Each cluster owns the feature dims congruent to its index; owned dims sit
@@ -36,21 +36,21 @@ def make_centers(clusters: int, separation: float, num_features: int = NUM_FEATU
     if not 0.0 <= separation < math.inf:
         raise ValueError("separation must be a finite non-negative number")
     if clusters == 1 or separation == 0:
-        return np.full((clusters, num_features), 0.5)
+        return np.full((clusters, NUM_FEATURES), 0.5)
     dims_per = np.array([
-        len(range(i, num_features, clusters)) for i in range(clusters)
+        len(range(i, NUM_FEATURES, clusters)) for i in range(clusters)
     ])
     min_pair = int(np.sort(dims_per)[:2].sum())
     if min_pair == 0:
         raise ValueError(f"{clusters} separated clusters need >= {clusters} features")
-    span = separation / math.sqrt(min_pair / num_features)
+    span = separation / math.sqrt(min_pair / NUM_FEATURES)
     if span > 0.9:
         raise ValueError(
             f"separation {separation} not achievable with {clusters} clusters in "
-            f"{num_features} dims (needs span {span:.3f} > 0.9)"
+            f"{NUM_FEATURES} dims (needs span {span:.3f} > 0.9)"
         )
     lo, hi = 0.5 - span / 2, 0.5 + span / 2
-    centers = np.full((clusters, num_features), lo)
+    centers = np.full((clusters, NUM_FEATURES), lo)
     for i in range(clusters):
         centers[i, i::clusters] = hi
     return centers
@@ -72,17 +72,14 @@ def generate_lines(
     separation: float,
     noise_sigma: float,
     seed: int,
-    labels: tuple[str, ...] | None = None,
 ) -> list[str]:
     """Labeled sample lines, points grouped by cluster in order."""
     if points_per_cluster < 1:
         raise ValueError("points per cluster must be >= 1")
     if not 0.0 <= noise_sigma < math.inf:
         raise ValueError("noise sigma must be a finite non-negative number")
-    if labels is None:
-        labels = DEFAULT_LABELS
-    if clusters > len(labels):
-        raise ValueError(f"need {clusters} labels, have {len(labels)}")
+    if clusters > len(LABELS):
+        raise ValueError(f"need {clusters} labels, have {len(LABELS)}")
     centers = make_centers(clusters, separation)
     rng = np.random.Generator(np.random.PCG64(seed))
     lines = []
@@ -90,5 +87,5 @@ def generate_lines(
         noise = rng.normal(0.0, noise_sigma, (points_per_cluster, NUM_FEATURES))
         points = np.clip(centers[i] + noise, 0.0, 1.0)
         for row in points:
-            lines.append(format_line(row, labels[i]))
+            lines.append(format_line(row, LABELS[i]))
     return lines

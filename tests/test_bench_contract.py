@@ -220,3 +220,24 @@ def test_bench_script_help_exits_ok(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: ")
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("bench_train_workers.py", ["--rounds", "1"]),
+    ("bench_train_workers.py", ["--rounds", "3"]),
+    ("bench_train_bounds.py", ["--rounds", "0"]),
+    ("bench_detect.py", ["--parent", str(ROOT), "--repeats", "0"]),
+    ("bench_fixed_cost.py", ["--parent", str(ROOT), "--pairs", "3"]),
+    ("bench_perfbench.py", ["--parent", str(ROOT), "--pairs", "3"]),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v[-2:]))
+def test_bench_script_rejects_too_few_rounds_before_any_work(tmp_path, script, argv):
+    out = tmp_path / "bench.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage: ")
+    assert "must be at least" in proc.stderr
+    assert not out.exists()
