@@ -116,10 +116,11 @@ def quartiles(values: list[float], scale: float = 1.0, digits: int = 6) -> dict:
 def compare(parent: list[float], change: list[float], better: str = "lower", bound: float | None = None,
             names: tuple[str, str] = SIDES, won: str = "better") -> dict:
     """The pairs (parent[i], change[i]) each side won, ties counting for
-    neither, the ratio of the medians, and `gain`: the change won nine tenths
-    of the pairs and beats the parent's median by more than the parent's
-    interquartile range. With a `bound`: whether the change's median is worse
-    than that fraction of the parent's, and whether the parent's spread is."""
+    neither, the ratio of the medians, and `gain`: at least ten pairs ran, the
+    change won nine tenths of them and beats the parent's median by more than
+    the parent's interquartile range. With a `bound`: whether the change's
+    median is worse than that fraction of the parent's, and whether the
+    parent's spread is."""
     beats = (lambda a, b: a > b) if better == "higher" else (lambda a, b: a < b)
     change_won = sum(map(beats, change, parent))
     q1, median, q3 = statistics.quantiles(parent, n=4)
@@ -130,7 +131,7 @@ def compare(parent: list[float], change: list[float], better: str = "lower", bou
         f"pairs_{names[1]}_{won}": change_won,
         f"pairs_{names[0]}_{won}": sum(map(beats, parent, change)),
         f"{names[1]}_over_{names[0]}_median": round(change_median / median, 4) if median else None,
-        "gain": change_won >= 0.9 * len(parent) and gap > q3 - q1,
+        "gain": len(parent) >= 10 and change_won >= 0.9 * len(parent) and gap > q3 - q1,
     }
     if bound is not None:
         out |= {"bound": bound, "worse_than_bound": -gap > bound * abs(median),

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -368,30 +369,21 @@ def _block_records(params: GaParams, n: int, k: int) -> int:
     return max(1, _BLOCK_BYTES // per_record)
 
 
-def _detect_block(state: tuple, block: tuple[int, int]) -> list[Prediction]:
-    """Records lo..hi-1 of the batch (model, params, features), searched as
-    one block."""
-    model, params, features = state
-    lo, hi = block
-    x = model.normalization.transform(features[lo:hi])
-    return _search(x, [record_rng(params.seed, i) for i in range(lo, hi)], model, params)
+def _detect_block(
+    model: ChromosomeModel, params: GaParams, features: np.ndarray, block: range
+) -> list[Prediction]:
+    """The batch's records in `block`, searched as one block."""
+    x = model.normalization.transform(features[block.start : block.stop])
+    return _search(x, [record_rng(params.seed, i) for i in block], model, params)
 
 
 def run_batch(
     records: Dataset, model: ChromosomeModel, params: GaParams, workers: int = 1
 ) -> list[Prediction]:
-    """Detect every record, in blocks of R records. Per-record RNG streams
-    make the result identical for any worker count. The blocks are split,
-    by record count, into at most one share per worker, CPU and block: this
-    process runs one share and a forked child each other (`parallel`), so a
-    batch of one block runs in this process alone."""
+    """Detect every record, in blocks of R records mapped over `workers`
+    processes (`parallel.map_tasks`). Per-record RNG streams make the
+    result identical for any worker count."""
     step = _block_records(params, model.centroids.shape[1], model.centroids.shape[0])
-    blocks = [(lo, min(lo + step, len(records))) for lo in range(0, len(records), step)]
-    parts = parallel.map_tasks(
-        _detect_block,
-        blocks,
-        (model, params, records.features),
-        parallel.process_count(workers, len(blocks)),
-        [hi - lo for lo, hi in blocks],
-    )
+    blocks = [range(lo, min(lo + step, len(records))) for lo in range(0, len(records), step)]
+    parts = parallel.map_tasks(partial(_detect_block, model, params, records.features), blocks, workers)
     return [p for part in parts for p in part]

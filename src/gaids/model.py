@@ -16,6 +16,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -152,10 +153,9 @@ def precalculate(
     first-sight order. The pass is order-dependent and bit-reproducible for
     a fixed input order. Normalization runs on BLOCK_ROWS rows at a time.
 
-    Each label is one task of `parallel.map_tasks`, its cost its row count,
-    run in `parallel.process_count(workers, labels)` processes: this one and
-    forked children, as `engine.run_batch` runs its blocks. The model is the
-    same for any `workers`.
+    The labels' row lists are mapped over `workers` processes
+    (`parallel.map_tasks`), as `engine.run_batch` maps its blocks. The model
+    is the same for any `workers`.
     """
     if not len(training):
         raise EmptyDataset("cannot precalculate on an empty dataset")
@@ -167,10 +167,8 @@ def precalculate(
     rows_of: dict[str, list[int]] = {}
     for i, name in enumerate(training.attack_names):
         rows_of.setdefault(name, []).append(i)
-    tasks = list(rows_of.values())
-    processes = parallel.process_count(workers, len(tasks))
-    state = (training.features, merge_range, stats)
-    results = parallel.map_tasks(_train_label, tasks, state, processes, [len(rows) for rows in tasks])
+    train = partial(_train_label, training.features, merge_range, stats)
+    results = parallel.map_tasks(train, list(rows_of.values()), workers)
     centroids, counts, spreads = zip(*results)
     return ChromosomeModel(
         centroids=np.concatenate(centroids),
@@ -185,11 +183,10 @@ def precalculate(
 
 
 def _train_label(
-    state: tuple[np.ndarray, float, NormalizationStats], rows: list[int]
+    features: np.ndarray, merge_range: float, stats: NormalizationStats, rows: list[int]
 ) -> tuple[np.ndarray, list[int], list[float]]:
     """The centroids, member counts and spreads of one label's chromosomes,
-    trained on the label's rows of the feature matrix in the order given;
-    state is (features, merge_range, stats).
+    trained on the label's rows of the feature matrix in the order given.
 
     A merge moves the centroid to the running mean of its members, and the
     distance d of the record to the pre-merge centroid joins the running
@@ -207,7 +204,6 @@ def _train_label(
     bit (kernels docstring, step 8), so the model is that of a direct scan
     of every record.
     """
-    features, merge_range, stats = state
     n = features.shape[1]
     block = BOUND_ROWS
     # Step 8's rounding margins.
@@ -287,29 +283,25 @@ def _train_label(
     return centroids[: len(counts)], counts, spreads
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def save_model(model: ChromosomeModel, path) -> None:
     """Versioned line-oriented text: header, one line per chromosome (labels
     in first-sight order, each label's rows in the order they were made),
     then the normalization min and max rows."""
     num_features = model.normalization.feat_min.shape[0]
     lines = [
-        f"{MODEL_FORMAT_TAG} {MODEL_FORMAT_VERSION} {_fmt(model.range_used)} "
+        f"{MODEL_FORMAT_TAG} {MODEL_FORMAT_VERSION} {float(model.range_used)!r} "
         f"{model.training_size} {num_features}"
     ]
-    # The columns are float64 and int64, so tolist() gives the Python numbers
-    # whose repr _fmt writes, without a numpy scalar per value; centroids go
-    # one row at a time, as a whole label's floats would add to the peak.
+    # The columns are float64 and int64, so tolist() gives Python numbers to
+    # repr, without a numpy scalar per value; centroids go one row at a
+    # time, as a whole label's floats would add to the peak.
     counts, spreads = model.member_counts.tolist(), model.spreads.tolist()
     for label, category, rows in model.runs():
         for i in range(rows.start, rows.stop):
             values = map(repr, model.centroids[i].tolist())
             lines.append(" ".join([label, category, str(counts[i]), repr(spreads[i]), *values]))
-    lines.append(" ".join(_fmt(v) for v in model.normalization.feat_min))
-    lines.append(" ".join(_fmt(v) for v in model.normalization.feat_max))
+    for row in (model.normalization.feat_min, model.normalization.feat_max):
+        lines.append(" ".join(map(repr, row.tolist())))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,14 +1,16 @@
 """Map a function over tasks in this process and in forked children.
 
-Detection (`engine.run_batch`) and training (`model.precalculate`) both map
-one function over independent tasks that read one large shared state: the
-feature matrix, the model and the settings. `map_tasks` is a fork-join. It
-splits the tasks into shares by the cost the caller gives each one, largest
-task first to the least-loaded share. This process runs share 0, and each
-other share runs in a child made with `os.fork()`. A child inherits the
-state rather than receiving a copy, sends its results back pickled through a
-pipe, and always ends with `os._exit`, so it runs no exit handler and never
-flushes stdio buffers it inherited.
+Detection (`engine.run_batch`) maps one function over blocks of records and
+training (`model.precalculate`) over each label's rows; the tasks are
+independent. `map_tasks(fn, tasks, workers)` is a fork-join. It runs in at
+most one process per worker, per CPU (`available_cpus`) and per task, and
+splits the tasks into shares by their length, largest task first to the
+least-loaded share. This process runs share 0, and each other share runs in
+a child made with `os.fork()`. A child inherits `fn` and whatever it reads,
+so a caller binds the data its tasks share into `fn` (`functools.partial`)
+rather than sending a copy. The child sends its results back pickled through
+a pipe, and always ends with `os._exit`, so it runs no exit handler and
+never flushes stdio buffers it inherited.
 
 A fork-join imports nothing and starts no thread: forking a child of a
 gaids process and reaping it takes about 5 ms on a 2-vCPU VM, and this
@@ -24,7 +26,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from typing import Any, BinaryIO, Callable, Sequence
+from typing import Any, BinaryIO, Callable, Sequence, Sized
 
 
 def available_cpus() -> int:
@@ -35,12 +37,6 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def process_count(workers: int, tasks: int) -> int:
-    """Processes a map of `tasks` tasks uses: at most one per worker, per
-    CPU and per task."""
-    return min(workers, available_cpus(), tasks)
 
 
 def _shares(costs: Sequence[float], processes: int) -> list[list[int]]:
@@ -56,32 +52,25 @@ def _shares(costs: Sequence[float], processes: int) -> list[list[int]]:
     return parts
 
 
-def map_tasks(
-    fn: Callable[[Any, Any], Any],
-    tasks: Sequence,
-    state: Any,
-    processes: int,
-    costs: Sequence[float],
-) -> list:
-    """[fn(state, task) for task in tasks], run in `processes` shares split
-    by `costs` (one cost per task), or in this process when `processes` is
-    at most 1. Results must pickle.
+def map_tasks(fn: Callable[[Any], Any], tasks: Sequence[Sized], workers: int) -> list:
+    """[fn(task) for task in tasks], each task's cost its length. Results
+    must pickle; `fn` need not, as a forked child inherits it.
 
     A task that raises in a child raises the same exception type here. A
     child that ends without sending its results (a signal, the OOM killer)
     raises ChildProcessError. However the map ends, every child it forked
     has ended and been reaped: when this process's own share raises, or a
     child fails, the children still running are killed."""
-    if processes <= 1 or not hasattr(os, "fork"):
-        return [fn(state, task) for task in tasks]
-    parts = _shares(costs, processes)
+    parts = _shares([len(task) for task in tasks], min(workers, available_cpus(), len(tasks)))
+    if len(parts) <= 1 or not hasattr(os, "fork"):
+        return [fn(task) for task in tasks]
     results: list = [None] * len(tasks)
     children: list[tuple[int, BinaryIO]] = []
     try:
         for part in parts[1:]:
-            children.append(_fork(fn, state, [tasks[i] for i in part]))
+            children.append(_fork(fn, [tasks[i] for i in part]))
         for i in parts[0]:
-            results[i] = fn(state, tasks[i])
+            results[i] = fn(tasks[i])
         for part in parts[1:]:
             pid, pipe = children[0]
             with pipe:
@@ -98,7 +87,7 @@ def map_tasks(
     return results
 
 
-def _fork(fn: Callable, state: Any, share: list) -> tuple[int, BinaryIO]:
+def _fork(fn: Callable, share: list) -> tuple[int, BinaryIO]:
     """Start a child that runs fn over its share and writes the pickled
     outcome, (True, results) or (False, exception), to a pipe; returns the
     child's pid and the pipe's read end."""
@@ -114,7 +103,7 @@ def _fork(fn: Callable, state: Any, share: list) -> tuple[int, BinaryIO]:
         try:
             os.close(read_fd)
             try:
-                outcome = (True, [fn(state, task) for task in share])
+                outcome = (True, [fn(task) for task in share])
             except BaseException as exc:
                 outcome = (False, exc)
             with open(write_fd, "wb") as pipe:

@@ -78,6 +78,16 @@ def test_nine_of_ten_pairs_is_a_gain_and_eight_is_not(better, sign, lost, gain):
     assert out["gain"] is gain
 
 
+@pytest.mark.parametrize("pairs, gain", [(9, False), (10, True)])
+def test_fewer_than_ten_pairs_is_no_gain(pairs, gain):
+    # Winning every pair by more than the IQR counts only from ten pairs on:
+    # at four pairs, 4/4 passed on a metric whose spread was near zero.
+    change = [p - 1.0 for p in PARENT[:pairs]]
+    out = harness.compare(PARENT[:pairs], change)
+    assert (out["pairs"], out["pairs_change_better"]) == (pairs, pairs)
+    assert out["gain"] is gain
+
+
 def test_a_median_gap_inside_the_parent_iqr_is_no_gain():
     change = [p - 0.2 for p in PARENT]
     out = harness.compare(PARENT, change)

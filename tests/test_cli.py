@@ -950,7 +950,7 @@ def test_import_loads_no_pools_reporting_or_synth():
     heavy = ["concurrent.futures", "multiprocessing", "gaids.metrics", "gaids.synth", "logging"]
     probe = (
         "import sys, gaids.cli; from gaids import parallel; "
-        "assert parallel.map_tasks(pow, [2, 3], 2, 2, [1, 1]) == [4, 8]; "
+        "assert parallel.map_tasks(len, ['ab', 'abc'], 2) == [2, 3]; "
         f"print([m for m in {heavy!r} if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))

@@ -800,14 +800,13 @@ class TestRunBatch:
         every share in this process; returns the process counts of the maps
         run_batch runs in more than one process."""
         requested = []
-        real = parallel.map_tasks
 
-        def spy(fn, tasks, state, processes, costs):
+        def spy(costs, processes):
             if processes > 1:
                 requested.append(processes)
-            return real(fn, tasks, state, 1, costs)
+            return [list(range(len(costs)))]
 
-        monkeypatch.setattr(parallel, "map_tasks", spy)
+        monkeypatch.setattr(parallel, "_shares", spy)
         monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         return requested
 

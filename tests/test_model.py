@@ -401,13 +401,13 @@ class TestParallelTraining:
         """On a host with `cpus` CPUs, record the process count and the task
         sizes (rows per label, in map order) of each map precalculate runs."""
         calls = []
-        real = parallel.map_tasks
+        real = parallel._shares
 
-        def spy(fn, tasks, state, processes, costs):
-            calls.append((processes, [len(rows) for rows in tasks]))
-            return real(fn, tasks, state, processes, costs)
+        def spy(costs, processes):
+            calls.append((processes, list(costs)))
+            return real(costs, processes)
 
-        monkeypatch.setattr(parallel, "map_tasks", spy)
+        monkeypatch.setattr(parallel, "_shares", spy)
         monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         return calls
 
