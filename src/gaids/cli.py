@@ -144,7 +144,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     trained = model.precalculate(records, params.range, stats, workers=values["workers"])
     model.save_model(trained, model_path)
 
-    counts = Counter(records.categories)
+    counts = Counter()
+    for name, count in Counter(records.attack_names).items():
+        counts[ingest.attack_category(name)] += count
     for category in ingest.CATEGORIES:
         print(f"{category}={counts[category]}")
     print(f"total={len(records)}")
@@ -187,7 +189,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     values, records, skipped, predictions = _run_test_file(args, require_label=True)
     matrix = metrics.ConfusionMatrix.from_pairs(
-        (actual, pred.category) for actual, pred in zip(records.categories, predictions)
+        (ingest.attack_category(name), pred.category)
+        for name, pred in zip(records.attack_names, predictions)
     )
     if values["report"] == "kv":
         print(metrics.format_kv_report(matrix))

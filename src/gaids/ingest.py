@@ -1,8 +1,8 @@
 """KDD Cup 1999 connection-record ingestion.
 
 Parses the 42-field CSV lines into one Dataset (a raw (N, 38) feature
-matrix plus per-row attack names and categories), maps fine-grained attack
-names to the five top-level classes, and fits/applies min-max feature
+matrix plus per-row attack names), maps fine-grained attack names to the
+five top-level classes, and fits/applies min-max feature
 normalization. Only the 38 numeric features are retained; the three
 symbolic ones (protocol_type, service, flag) are dropped.
 """
@@ -92,6 +92,13 @@ ATTACK_CATEGORIES = {
     "xterm": "u2r",
 }
 
+
+def attack_category(name: str) -> str:
+    """The top-level class of an attack name: its ATTACK_CATEGORIES entry, or
+    FALLBACK_CATEGORY for a name lenient ingest accepts but does not know."""
+    return ATTACK_CATEGORIES.get(name, FALLBACK_CATEGORY)
+
+
 @dataclass
 class RawRecord:
     """One parsed line: 41 verbatim feature fields plus the label."""
@@ -113,20 +120,19 @@ class ConnectionRecord:
 @dataclass
 class Dataset:
     """Records held as columns: one raw (N, 38) float64 feature matrix plus
-    the attack name and category of each row (None for unlabeled input).
-    Iterating yields ConnectionRecord rows whose features are views into
-    the matrix."""
+    the attack name of each row (None for unlabeled input). Iterating yields
+    ConnectionRecord rows whose features are views into the matrix and
+    whose category is `attack_category` of the name."""
 
     features: np.ndarray
     attack_names: list[str | None]
-    categories: list[str | None]
 
     def __len__(self) -> int:
         return len(self.attack_names)
 
     def __iter__(self):
-        for row in zip(self.features, self.attack_names, self.categories):
-            yield ConnectionRecord(*row)
+        for features, name in zip(self.features, self.attack_names):
+            yield ConnectionRecord(features, name, None if name is None else attack_category(name))
 
 
 @dataclass
@@ -198,8 +204,8 @@ def _feature_values(fields: list[str]) -> list[float]:
 
 def _parse_line(line: str, strict: bool, require_label: bool, distinct: array) -> tuple:
     """What read_records keeps of one line's text: () for a blank line, the
-    error's (class, message) for a bad one, or (row, attack name, category),
-    row being the index of its 38 values, which are appended to distinct."""
+    error's (class, message) for a bad one, or (row, attack name), row being
+    the index of its 38 values, which are appended to distinct."""
     if not line.strip():
         return ()
     try:
@@ -207,21 +213,18 @@ def _parse_line(line: str, strict: bool, require_label: bool, distinct: array) -
         values = _feature_values(raw.fields)
     except (MalformedRecord, NonNumericFeature) as exc:
         return type(exc), str(exc)
-    label, category = raw.label, None
+    label = raw.label
     if label is not None:
         # One string per attack name: the rows' names share it.
         label = sys.intern(label)
-        category = ATTACK_CATEGORIES.get(label)
-        if category is None:
-            if strict:
-                return UnknownLabel, (
-                    f"unknown attack name {label!r};"
-                    f" --lenient maps it to category {FALLBACK_CATEGORY!r}"
-                )
-            category = FALLBACK_CATEGORY
+        if strict and label not in ATTACK_CATEGORIES:
+            return UnknownLabel, (
+                f"unknown attack name {label!r};"
+                f" --lenient maps it to category {FALLBACK_CATEGORY!r}"
+            )
     row = len(distinct) // NUM_FEATURES
     distinct.fromlist(values)
-    return row, label, category
+    return row, label
 
 
 def read_records(
@@ -239,32 +242,31 @@ def read_records(
     Returns (dataset, skipped_count). Blank lines are ignored.
 
     Each distinct line text is parsed once. A dict maps it to its row's
-    index in a buffer of distinct rows, or to its error's class and
-    message, so a repeated line only appends its row index, name and
-    category. While the file is read this holds each distinct line's text
-    and a small tuple, about 320 B for a 190-character KDD line. The dict
-    is dropped before the feature matrix is gathered from the distinct rows
-    in file order; when no accepted line repeats, the buffer is the matrix.
+    index in a buffer of distinct rows and its name, or to its error's class
+    and message, so a repeated line only appends its row index and name.
+    While the file is read this holds each distinct line's text and a small
+    tuple, about 320 B for a 190-character KDD line. The dict is dropped
+    before the feature matrix is gathered from the distinct rows in file
+    order; when no accepted line repeats, the buffer is the matrix.
     """
     distinct = array("d")
     rows = array("q")
     names: list[str | None] = []
-    categories: list[str | None] = []
     skipped = 0
     parsed: dict[str, tuple] = {}
     for lineno, line in enumerate(lines, start=1):
         entry = parsed.get(line)
         if entry is None:
             entry = parsed[line] = _parse_line(line, strict, require_label, distinct)
-        if len(entry) == 3:
-            row, name, category = entry
-            rows.append(row)
-            names.append(name)
-            categories.append(category)
-        elif entry:
-            error, message = entry
-            if strict:
-                raise error(f"{source}:{lineno}: {message}")
+        if not entry:
+            continue
+        first, second = entry
+        if isinstance(first, int):  # (row, name)
+            rows.append(first)
+            names.append(second)
+        elif strict:  # (error class, message)
+            raise first(f"{source}:{lineno}: {second}")
+        else:
             skipped += 1
     del parsed
     for name, count in Counter(names).items():
@@ -277,7 +279,7 @@ def read_records(
     features = np.frombuffer(distinct).reshape(-1, NUM_FEATURES)
     if len(features) < len(rows):
         features = features[np.frombuffer(rows, dtype=np.int64)]
-    return Dataset(features, names, categories), skipped
+    return Dataset(features, names), skipped
 
 
 def load_file(path, strict: bool = True, require_label: bool = True) -> tuple[Dataset, int]:

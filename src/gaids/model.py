@@ -22,14 +22,7 @@ import numpy as np
 
 from . import kernels, parallel
 from .errors import EmptyDataset, EmptyModel, ModelFormatError, ModelVersionMismatch
-from .ingest import (
-    ATTACK_CATEGORIES,
-    CATEGORIES,
-    FALLBACK_CATEGORY,
-    NUM_FEATURES,
-    Dataset,
-    NormalizationStats,
-)
+from .ingest import CATEGORIES, NUM_FEATURES, Dataset, NormalizationStats, attack_category
 
 MODEL_FORMAT_TAG = "gaids-model"
 MODEL_FORMAT_VERSION = "1"
@@ -80,31 +73,35 @@ class ChromosomeModel:
 
     The constructor takes rows in any label order and stores them stably
     sorted by label. That is the scan order, so the kernel's lowest-index
-    tie rule prefers the alphabetically first label. `category_of` keeps
-    the labels in first-sight order, which is the order of the model file.
-    The kernel's per-row terms are computed once here, and every array is
-    read-only. A model without rows raises EmptyModel.
+    tie rule prefers the alphabetically first label. What follows from
+    the rows is derived here, not passed in: `category_of` maps the labels,
+    in first-sight order (the order of the model file), to their
+    `attack_category`; `training_size` is the sum of the member counts; and
+    the kernel's per-row terms. Every array is read-only. A model without
+    rows raises EmptyModel.
     """
 
     centroids: np.ndarray  # (K, n), C-contiguous
     member_counts: np.ndarray  # (K,)
     spreads: np.ndarray  # (K,)
     labels: list[str]  # attack label of each row
-    category_of: dict[str, str]  # label -> category, first-sight order
     normalization: NormalizationStats
     range_used: float
-    training_size: int
+    category_of: dict[str, str] = field(init=False)  # label -> category, first-sight order
+    training_size: int = field(init=False)  # member_counts.sum()
     sq_norms: np.ndarray = field(init=False)  # (centroids**2).sum(axis=1)
     denoms: np.ndarray = field(init=False)  # spreads + SPREAD_EPSILON
 
     def __post_init__(self):
         if not len(self.labels):
             raise EmptyModel("model holds no chromosomes")
+        self.category_of = {label: attack_category(label) for label in dict.fromkeys(self.labels)}
         order = sorted(range(len(self.labels)), key=self.labels.__getitem__)
         self.labels = [self.labels[i] for i in order]
         self.centroids = np.asarray(self.centroids, dtype=np.float64)[order]
         self.member_counts = np.asarray(self.member_counts, dtype=np.int64)[order]
         self.spreads = np.asarray(self.spreads, dtype=np.float64)[order]
+        self.training_size = sum(self.member_counts.tolist())  # exact: no int64 wrap
         self.sq_norms = (self.centroids * self.centroids).sum(axis=1)
         self.denoms = self.spreads + SPREAD_EPSILON
         for col in (self.centroids, self.member_counts, self.spreads, self.sq_norms, self.denoms):
@@ -175,10 +172,8 @@ def precalculate(
         member_counts=np.concatenate(counts),
         spreads=np.concatenate(spreads),
         labels=[label for label, c in zip(rows_of, counts) for _ in c],
-        category_of={label: training.categories[rows[0]] for label, rows in rows_of.items()},
         normalization=stats,
         range_used=merge_range,
-        training_size=len(training),
     )
 
 
@@ -376,7 +371,6 @@ def load_model(path) -> ChromosomeModel:
     labels: list[str] = []
     counts: list[int] = []
     spreads: list[float] = []
-    category_of: dict[str, str] = {}
     for row, ln in enumerate(body):
         tokens = ln.split()
         if len(tokens) != 4 + num_features:
@@ -395,18 +389,19 @@ def load_model(path) -> ChromosomeModel:
             raise ModelFormatError(f"member count {count} is below 1")
         if not 0.0 <= spread < math.inf:
             raise ModelFormatError(f"spread {spread!r} is not a finite non-negative number")
-        expected = ATTACK_CATEGORIES.get(label, FALLBACK_CATEGORY)
+        expected = attack_category(label)
         if category != expected:
             raise ModelFormatError(
                 f"label {label!r} is listed under {category!r}; training gives it {expected!r}"
             )
-        category_of[label] = category
         centroids[row] = parse_values(tokens[4:])
         labels.append(label)
         counts.append(count)
         spreads.append(spread)
     check_values(centroids, 0.0, 1.0)
 
+    # The model's training_size is this sum; checked first, because a file
+    # without rows should fail on the header, not on the empty model.
     if sum(counts) != training_size:
         raise ModelFormatError(
             f"member counts sum to {sum(counts)}, header says {training_size}"
@@ -416,8 +411,6 @@ def load_model(path) -> ChromosomeModel:
         member_counts=counts,
         spreads=spreads,
         labels=labels,
-        category_of=category_of,
         normalization=normalization,
         range_used=range_used,
-        training_size=training_size,
     )

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from gaids.ingest import ATTACK_CATEGORIES, NUM_FEATURES, ConnectionRecord, Dataset, NormalizationStats
+from gaids.ingest import (
+    ATTACK_CATEGORIES,
+    NUM_FEATURES,
+    ConnectionRecord,
+    Dataset,
+    NormalizationStats,
+    attack_category,
+)
 from gaids.model import ChromosomeModel
 
 # Verbatim lines from the 10% KDD99 training file (42 fields, trailing-period
@@ -32,7 +39,7 @@ def record(values, label="normal"):
     else:
         feats = np.asarray(values, dtype=np.float64)
     return ConnectionRecord(
-        features=feats, attack_name=label, category=ATTACK_CATEGORIES[label]
+        features=feats, attack_name=label, category=attack_category(label)
     )
 
 
@@ -43,7 +50,6 @@ def dataset(records):
     return Dataset(
         features=features,
         attack_names=[r.attack_name for r in records],
-        categories=[r.category for r in records],
     )
 
 
@@ -60,10 +66,8 @@ def build_model(centroids, labels, spreads=None, counts=None, stats=None):
         member_counts=counts,
         spreads=spreads,
         labels=list(labels),
-        category_of={label: ATTACK_CATEGORIES[label] for label in labels},
         normalization=stats or NormalizationStats.identity(centroids.shape[1]),
         range_used=0.125,
-        training_size=int(np.sum(counts)),
     )
 
 

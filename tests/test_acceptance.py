@@ -195,7 +195,7 @@ def test_criterion_9_full_data_smoke():
     with open(KDD_TRAIN, "r", encoding="ascii", errors="replace") as fh:
         records, _ = read_records(fh, source=KDD_TRAIN)
     # The class counts `gaids train` prints.
-    counts = Counter(records.categories)
+    counts = Counter(r.category for r in records)
     expected = {"normal": 97280, "probe": 4107, "dos": 391458, "u2r": 52, "r2l": 1124}
     summary_ok = counts == expected and len(records) == 494021
     stats = fit_normalization(records)

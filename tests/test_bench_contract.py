@@ -184,7 +184,8 @@ def ingest_digest(path, strict):
     count."""
     data, skipped = ingest.load_file(path, strict=strict)
     h = hashlib.sha256(data.features.tobytes())
-    h.update(repr((data.attack_names, data.categories, skipped)).encode())
+    categories = [r.category for r in data]
+    h.update(repr((data.attack_names, categories, skipped)).encode())
     return h.hexdigest()[:16]
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaids import ingest
@@ -177,7 +177,8 @@ class TestReadRecords:
     def test_unlabeled_lines(self):
         line = ",".join(make_line().split(",")[:-1])
         data, _ = read_records([line, line], require_label=False)
-        assert data.attack_names == data.categories == [None, None]
+        assert data.attack_names == [None, None]
+        assert [r.category for r in data] == [None, None]
         assert data.features.shape == (2, NUM_FEATURES)
 
     def test_rows_stack_in_order(self):
@@ -185,7 +186,7 @@ class TestReadRecords:
         data, _ = read_records(lines)
         assert data.features.shape == (8, NUM_FEATURES)
         assert data.features[:, 1].tolist() == [float(i) for i in range(8)]
-        assert len(data.attack_names) == len(data.categories) == 8
+        assert len(data.attack_names) == len(list(data)) == 8
 
     def test_cached_errors_stay_small(self):
         # Each distinct bad line keeps its error's class and message (about
@@ -402,8 +403,16 @@ def fuzzed_file(draw):
     return lines
 
 
+# A good and a bad line that each repeat, between blank lines: the cache
+# holds (row, name) for one and (error class, message) for the other, and
+# a repeat must be read as the kind its first sight was.
+_BAD_LINE = REAL_LINES[2].replace(",1032,", ",x,")
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(fuzzed_file())
+@example([REAL_LINES[0], "", _BAD_LINE, REAL_LINES[0], "  ", _BAD_LINE, ""])
+@example([_BAD_LINE, "", REAL_LINES[0], _BAD_LINE, "  ", REAL_LINES[0]])
 def test_parser_matches_reference(lines):
     numbered = [(n, ln) for n, ln in enumerate(lines, start=1) if ln.strip()]
     refs = [(n, *reference(ln)) for n, ln in numbered]
@@ -444,6 +453,6 @@ def test_parser_matches_reference(lines):
     assert skipped == len(refs) - len(kept)
     assert data.features.shape == (len(kept), NUM_FEATURES)
     assert data.features.tolist() == [v for v, _ in kept]
-    for category, (_, error) in zip(data.categories, kept):
+    for r, (_, error) in zip(data, kept):
         if error is UnknownLabel:
-            assert category == ingest.FALLBACK_CATEGORY
+            assert r.category == ingest.FALLBACK_CATEGORY

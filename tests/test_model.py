@@ -18,7 +18,7 @@ from gaids.errors import (
     ModelFormatError,
     ModelVersionMismatch,
 )
-from gaids.ingest import NUM_FEATURES, NormalizationStats
+from gaids.ingest import FALLBACK_CATEGORY, NUM_FEATURES, Dataset, NormalizationStats
 from gaids.model import SPREAD_EPSILON, ChromosomeModel, load_model, precalculate, save_model
 
 from conftest import build_model, dataset, random_model, record
@@ -182,7 +182,7 @@ class TestPrecalculate:
 
     def test_unlabeled_records_rejected(self):
         unlabeled = dataset([record({})])
-        unlabeled.attack_names[0] = unlabeled.categories[0] = None
+        unlabeled.attack_names[0] = None
         with pytest.raises(ValueError, match="must be labeled"):
             precalculate(unlabeled, 0.125, NormalizationStats.identity())
 
@@ -518,10 +518,8 @@ def direct_scan_precalculate(training, merge_range, stats):
         member_counts=[c for _, counts, *_ in runs for c in counts],
         spreads=[math.sqrt(m2 / c) for _, counts, _, m2s in runs for m2, c in zip(m2s, counts)],
         labels=[label for label, (rows, *_) in trained.items() for _ in rows],
-        category_of={label: training.categories[training.attack_names.index(label)] for label in trained},
         normalization=stats,
         range_used=merge_range,
-        training_size=len(training),
     )
 
 
@@ -656,6 +654,38 @@ class TestPersistence:
         queries = dataset(record(rng.random(NUM_FEATURES)) for _ in range(15))
         params = GaParams(seed=31)
         assert run_batch(queries, m, params) == run_batch(queries, load_model(path), params)
+
+    def test_derived_fields_round_trip(self, tmp_path, rng):
+        # A model's categories and training size follow from its rows, so a
+        # model built directly or trained on a lenient unknown name (which
+        # takes FALLBACK_CATEGORY) saves a file that loads and saves again
+        # to the same bytes, and neither can be passed in to disagree.
+        labels = ["zerg_rush", "smurf", "normal", "zerg_rush"]
+        m = build_model(rng.random((4, NUM_FEATURES)), labels, counts=[3, 1, 4, 2])
+        assert list(m.category_of.items()) == [
+            ("zerg_rush", FALLBACK_CATEGORY), ("smurf", "dos"), ("normal", "normal")
+        ]
+        assert m.training_size == m.member_counts.sum() == 10
+        trained = precalculate(
+            Dataset(rng.random((6, NUM_FEATURES)), ["smurf", "zerg_rush"] * 3),
+            0.1,
+            NormalizationStats.identity(),
+        )
+        assert trained.category_of == {"smurf": "dos", "zerg_rush": FALLBACK_CATEGORY}
+        assert trained.training_size == trained.member_counts.sum() == 6
+        for model in (m, trained):
+            p1, p2 = tmp_path / "a.model", tmp_path / "b.model"
+            save_model(model, p1)
+            save_model(load_model(p1), p2)
+            assert p1.read_bytes() == p2.read_bytes()
+
+        columns = dict(
+            centroids=m.centroids, member_counts=m.member_counts, spreads=m.spreads,
+            labels=m.labels, normalization=m.normalization, range_used=m.range_used,
+        )
+        for derived in ({"category_of": {"zerg_rush": "dos"}}, {"training_size": 99}):
+            with pytest.raises(TypeError):
+                ChromosomeModel(**columns, **derived)
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.model"
