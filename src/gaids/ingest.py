@@ -15,6 +15,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -33,6 +34,24 @@ NUM_FEATURES = 38
 SYMBOLIC_POSITIONS = (1, 2, 3)
 _NUMERIC_POSITIONS = tuple(p for p in range(NUM_RAW_FEATURES) if p not in SYMBOLIC_POSITIONS)
 _numeric_fields = operator.itemgetter(*_NUMERIC_POSITIONS)
+
+# Lines per np.loadtxt call: distinct lines in `read_records`, chromosome
+# rows in `model.load_model`. A block that holds a bad line is read again in
+# halves, so a larger block redoes more rows, and strict mode reads up to a
+# block past the first bad line; a smaller one makes more calls. On the
+# kdd-train file, 32 to 256 read within noise of each other (CHANGES.md).
+PARSE_ROWS = 64
+
+# A block np.loadtxt cannot read is halved, but a failed span of at most this
+# many lines goes through float() line by line: a failed call costs about as
+# much as float() on two lines, and halving down to single lines made a
+# lenient file whose every line holds a bad number read 4.3x slower than
+# float() alone (CHANGES.md).
+_SPAN_BY_LINE = 16
+
+# U+001C to U+001F: str.isspace() holds for them, and np.loadtxt strips them
+# from a number's ends, but float() rejects them.
+_LOADTXT_SPACE = "\x1c\x1d\x1e\x1f"
 
 CATEGORIES = ("normal", "probe", "dos", "u2r", "r2l")
 
@@ -161,70 +180,117 @@ class NormalizationStats:
         return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
-def parse_record(line: str, require_label: bool = True) -> RawRecord:
-    """Split one CSV line into 41 feature fields plus the label.
-
-    The label's trailing period is stripped; a model file stores the label
-    as one space-separated ASCII token, so it must be ASCII without
-    whitespace. With require_label=False a 41-field line is also accepted.
-    """
-    parts = line.rstrip("\r\n").split(",")
-    if len(parts) == NUM_RAW_FEATURES and not require_label:
-        return RawRecord(fields=parts, label=None, trailing_period=False)
-    if len(parts) != NUM_FIELDS:
-        raise MalformedRecord(f"expected {NUM_FIELDS} fields, got {len(parts)}")
-    raw_label = parts[-1]
-    trailing = raw_label.endswith(".")
-    label = raw_label[:-1] if trailing else raw_label
+def _label(line: str, require_label: bool) -> str | None:
+    """The label of one CSV line after the checks of its shape, in this
+    order: 42 fields, a label that is not empty, a label that is one ASCII
+    token. The trailing period is stripped; a model file stores the label as
+    one space-separated ASCII token. With require_label=False a 41-field
+    line is also accepted, with no label."""
+    text = line.rstrip("\r\n")
+    commas = text.count(",")
+    if commas == NUM_RAW_FEATURES - 1 and not require_label:
+        return None
+    if commas != NUM_FIELDS - 1:
+        raise MalformedRecord(f"expected {NUM_FIELDS} fields, got {commas + 1}")
+    raw_label = text[text.rindex(",") + 1 :]
+    label = raw_label[:-1] if raw_label.endswith(".") else raw_label
     if not label:
         raise MalformedRecord("empty label field")
     if not label.isascii() or label.split() != [label]:
         raise MalformedRecord(f"label {label!r} holds whitespace or non-ASCII characters")
-    return RawRecord(fields=parts[:-1], label=label, trailing_period=trailing)
+    return label
 
 
-def _feature_values(fields: list[str]) -> list[float]:
-    """The 38 numeric fields of a line as finite floats."""
-    numeric = _numeric_fields(fields)
-    try:
-        values = list(map(float, numeric))
-    except ValueError:
-        values = None
-    if values is None or not all(map(math.isfinite, values)):
-        # Only a bad line gets here: name its first bad field.
-        for pos, field in zip(_NUMERIC_POSITIONS, numeric):
-            try:
-                v = float(field)
-            except ValueError:
-                raise NonNumericFeature(f"field {pos + 1}: {field!r}") from None
-            if not math.isfinite(v):
-                raise NonNumericFeature(f"field {pos + 1}: non-finite value {field!r}")
+def parse_record(line: str, require_label: bool = True) -> RawRecord:
+    """Split one CSV line into 41 feature fields plus the label, after the
+    checks of `_label`."""
+    label = _label(line, require_label)
+    text = line.rstrip("\r\n")
+    return RawRecord(
+        fields=text.split(",")[:NUM_RAW_FEATURES],
+        label=label,
+        trailing_period=label is not None and text.endswith("."),
+    )
+
+
+def _line_values(line: str) -> list[float]:
+    """The 38 numeric fields of a line that passed `_label`, by float() one
+    field at a time; the first field that is not a finite number raises
+    NonNumericFeature, named by its 1-based position."""
+    values = []
+    for pos, field in zip(_NUMERIC_POSITIONS, _numeric_fields(line.rstrip("\r\n").split(","))):
+        try:
+            v = float(field)
+        except ValueError:
+            raise NonNumericFeature(f"field {pos + 1}: {field!r}") from None
+        if not math.isfinite(v):
+            raise NonNumericFeature(f"field {pos + 1}: non-finite value {field!r}")
+        values.append(v)
     return values
 
 
-def _parse_line(line: str, strict: bool, require_label: bool, distinct: array) -> tuple:
+def _parse_line(line: str, require_label: bool, row: int) -> tuple:
     """What read_records keeps of one line's text: () for a blank line, the
-    error's (class, message) for a bad one, or (row, attack name), row being
-    the index of its 38 values, which are appended to distinct."""
+    error's (class, message) for a line of a bad shape, or (row, attack
+    name), row being the line's index among the distinct lines."""
     if not line.strip():
         return ()
     try:
-        raw = parse_record(line, require_label=require_label)
-        values = _feature_values(raw.fields)
-    except (MalformedRecord, NonNumericFeature) as exc:
-        return type(exc), str(exc)
-    label = raw.label
-    if label is not None:
-        # One string per attack name: the rows' names share it.
-        label = sys.intern(label)
-        if strict and label not in ATTACK_CATEGORIES:
-            return UnknownLabel, (
-                f"unknown attack name {label!r};"
-                f" --lenient maps it to category {FALLBACK_CATEGORY!r}"
-            )
-    row = len(distinct) // NUM_FEATURES
-    distinct.fromlist(values)
-    return row, label
+        label = _label(line, require_label)
+    except MalformedRecord as exc:
+        return MalformedRecord, str(exc)
+    # One string per attack name: the rows' names share it.
+    return row, (None if label is None else sys.intern(label))
+
+
+def read_columns(texts: list[str], width: int, delimiter: str | None = None, usecols=None):
+    """The numbers of the lines as one (len(texts), width) float64 matrix,
+    by one np.loadtxt call, or None when a line does not read as `width`
+    numbers (`delimiter` None splits on whitespace). np.loadtxt converts a
+    number as float() does, and rejects some that float() accepts (`1_0`,
+    non-ASCII digits); it accepts none that float() rejects unless a field
+    holds one of _LOADTXT_SPACE."""
+    try:
+        values = np.loadtxt(texts, delimiter=delimiter, usecols=usecols, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(texts), width) else None
+
+
+def _block_values(lines: list[str]) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """The 38 numeric fields of each line that passed `_label`, as a
+    (len(lines), 38) matrix, and (index, message) of each line whose fields
+    are not 38 finite numbers; the row of such a line is not meaningful.
+
+    One `read_columns` call converts the block. If it fails, the block is
+    halved until each span that fails holds at most _SPAN_BY_LINE lines. The
+    lines of such a span, a row with a non-finite value, and a line holding
+    a character np.loadtxt and float() read differently go through
+    `_line_values`, which accepts what float() accepts and names the first
+    bad field."""
+    values = np.empty((len(lines), NUM_FEATURES))
+    spans = [(0, len(lines))]
+    while spans:
+        lo, hi = spans.pop()
+        block = read_columns(lines[lo:hi], NUM_FEATURES, ",", _NUMERIC_POSITIONS)
+        if block is not None:
+            values[lo:hi] = block
+        elif hi - lo > _SPAN_BY_LINE:
+            mid = (lo + hi) // 2
+            spans += [(mid, hi), (lo, mid)]
+        else:
+            values[lo:hi] = math.nan
+    recheck = ~np.isfinite(values).all(axis=1)
+    text = "".join(lines)
+    if any(c in text for c in _LOADTXT_SPACE):
+        recheck |= [any(c in line for c in _LOADTXT_SPACE) for line in lines]
+    errors = []
+    for i in np.flatnonzero(recheck).tolist():
+        try:
+            values[i] = _line_values(lines[i])
+        except NonNumericFeature as exc:
+            errors.append((i, str(exc)))
+    return values, errors
 
 
 def read_records(
@@ -239,36 +305,81 @@ def read_records(
     file:line context); lenient mode skips bad lines and counts them, maps
     an attack name missing from ATTACK_CATEGORIES to FALLBACK_CATEGORY, and
     writes one WARNING line per such name, with its line count, to stderr.
-    Returns (dataset, skipped_count). Blank lines are ignored.
+    Returns (dataset, skipped_count). Blank lines are ignored. A line's
+    checks run in this order: its shape (`_label`), its numbers (the first
+    bad field is named), then, in strict mode, its attack name.
 
-    Each distinct line text is parsed once. A dict maps it to its row's
-    index in a buffer of distinct rows and its name, or to its error's class
+    Each distinct line text is checked once. A dict maps it to its row's
+    index among the distinct lines and its name, or to its error's class
     and message, so a repeated line only appends its row index and name.
-    While the file is read this holds each distinct line's text and a small
-    tuple, about 320 B for a 190-character KDD line. The dict is dropped
-    before the feature matrix is gathered from the distinct rows in file
-    order; when no accepted line repeats, the buffer is the matrix.
+    The distinct lines that pass the shape checks are converted PARSE_ROWS
+    at a time, in file order, by `_block_values`; strict mode converts the
+    lines so far before it raises for a bad shape or name, so the error is
+    always the first bad line's. The dict is dropped before the feature
+    matrix is gathered from the distinct rows in file order; when every
+    distinct row is kept and none repeats, the buffer is the matrix.
     """
-    distinct = array("d")
+    distinct = array("d")  # 38 values per converted distinct line
+    failed: list[int] = []  # rows of distinct whose numbers are bad (lenient)
+    block: list[str] = []  # distinct lines not yet converted
+    block_linenos: list[int] = []
     rows = array("q")
     names: list[str | None] = []
     skipped = 0
     parsed: dict[str, tuple] = {}
+
+    def convert():
+        if not block:
+            return
+        start = len(distinct) // NUM_FEATURES
+        values, errors = _block_values(block)
+        if errors and strict:
+            i, message = errors[0]
+            raise NonNumericFeature(f"{source}:{block_linenos[i]}: {message}")
+        failed.extend(start + i for i, _ in errors)
+        distinct.frombytes(memoryview(values).cast("B"))
+        block.clear()
+        block_linenos.clear()
+
     for lineno, line in enumerate(lines, start=1):
         entry = parsed.get(line)
         if entry is None:
-            entry = parsed[line] = _parse_line(line, strict, require_label, distinct)
+            row = len(distinct) // NUM_FEATURES + len(block)
+            entry = parsed[line] = _parse_line(line, require_label, row)
+            if entry and entry[0] == row:
+                block.append(line)
+                block_linenos.append(lineno)
+                name = entry[1]
+                unknown = strict and name is not None and name not in ATTACK_CATEGORIES
+                if unknown or len(block) == PARSE_ROWS:
+                    convert()
+                if unknown:
+                    raise UnknownLabel(
+                        f"{source}:{lineno}: unknown attack name {name!r};"
+                        f" --lenient maps it to category {FALLBACK_CATEGORY!r}"
+                    )
+            elif entry and strict:
+                convert()
+                raise entry[0](f"{source}:{lineno}: {entry[1]}")
         if not entry:
             continue
         first, second = entry
         if isinstance(first, int):  # (row, name)
             rows.append(first)
             names.append(second)
-        elif strict:  # (error class, message)
-            raise first(f"{source}:{lineno}: {second}")
-        else:
+        else:  # (error class, message), lenient
             skipped += 1
+    convert()
     del parsed
+    features = np.frombuffer(distinct).reshape(-1, NUM_FEATURES)
+    index = np.frombuffer(rows, dtype=np.int64)
+    if failed:
+        keep = np.ones(len(features), dtype=bool)
+        keep[failed] = False
+        keep = keep[index]
+        skipped += len(index) - int(np.count_nonzero(keep))
+        index = index[keep]
+        names = list(compress(names, keep.tolist()))
     for name, count in Counter(names).items():
         if name is not None and name not in ATTACK_CATEGORIES:
             print(
@@ -276,9 +387,8 @@ def read_records(
                 f" assigned category {FALLBACK_CATEGORY!r}",
                 file=sys.stderr,
             )
-    features = np.frombuffer(distinct).reshape(-1, NUM_FEATURES)
-    if len(features) < len(rows):
-        features = features[np.frombuffer(rows, dtype=np.int64)]
+    if failed or len(features) < len(index):
+        features = features[index]
     return Dataset(features, names), skipped
 
 

@@ -22,7 +22,15 @@ import numpy as np
 
 from . import kernels, parallel
 from .errors import EmptyDataset, EmptyModel, ModelFormatError, ModelVersionMismatch
-from .ingest import CATEGORIES, NUM_FEATURES, Dataset, NormalizationStats, attack_category
+from .ingest import (
+    CATEGORIES,
+    NUM_FEATURES,
+    PARSE_ROWS,
+    Dataset,
+    NormalizationStats,
+    attack_category,
+    read_columns,
+)
 
 MODEL_FORMAT_TAG = "gaids-model"
 MODEL_FORMAT_VERSION = "1"
@@ -41,6 +49,9 @@ BLOCK_ROWS = 1024
 # merges loosen the bounds, so more records fall back to the direct scan.
 # The sweep of scripts/bench_train_bounds.py (BENCH_train_bounds.json) sets it.
 BOUND_ROWS = 64
+
+# The largest member count a model holds: `member_counts` is int64.
+_INT64_MAX = 2**63 - 1
 
 _EPS = sys.float_info.epsilon
 _SQRT_TINY = math.sqrt(sys.float_info.min)
@@ -305,10 +316,13 @@ def load_model(path) -> ChromosomeModel:
     """Read a model file; rejects unknown format tags/versions and values a
     trained model cannot hold (a merge range that is not finite and
     non-negative, unknown category, a category other than the one ingest
-    gives the label, member count below 1, negative or non-finite spread,
-    non-finite value, centroid value outside [0,1], a feature minimum above
-    its maximum or so far below it that the span overflows, a feature count
-    other than NUM_FEATURES, non-ASCII bytes, no chromosome rows)."""
+    gives the label, member count below 1 or past int64, negative or
+    non-finite spread, non-finite value, centroid value outside [0,1], a
+    feature minimum above its maximum or so far below it that the span
+    overflows, a feature count other than NUM_FEATURES, non-ASCII bytes, no
+    chromosome rows). The rows are read by the column (`_row_columns`);
+    only a file that fails there is read row by row (`_checked_rows`), which
+    accepts what float() accepts and raises the first bad row's error."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -336,25 +350,8 @@ def load_model(path) -> ChromosomeModel:
     if len(lines) < 3:
         raise ModelFormatError("missing normalization rows")
 
-    def parse_values(tokens):
-        if len(tokens) != num_features:
-            raise ModelFormatError(
-                f"expected {num_features} values per row, got {len(tokens)}"
-            )
-        try:
-            return [float(t) for t in tokens]
-        except ValueError as exc:
-            raise ModelFormatError(f"bad value: {exc}") from None
-
-    def check_values(values, low=-math.inf, high=math.inf):
-        if not np.isfinite(values).all():
-            raise ModelFormatError("non-finite value in a model row")
-        if (values < low).any() or (values > high).any():
-            raise ModelFormatError(f"model row value outside [{low:g},{high:g}]")
-        return values
-
-    feat_min, feat_max = check_values(
-        np.array([parse_values(lines[-2].split()), parse_values(lines[-1].split())])
+    feat_min, feat_max = _check_values(
+        np.array([_parse_values(lines[-2].split()), _parse_values(lines[-1].split())])
     )
     normalization = NormalizationStats(feat_min=feat_min, feat_max=feat_max)
     bad = normalization.invalid_features()
@@ -363,42 +360,11 @@ def load_model(path) -> ChromosomeModel:
             f"feature minimum exceeds maximum, or the span overflows, in column {int(bad[0])}"
         )
 
-    # Centroid values go into one matrix, checked in one pass after the
-    # loop; rows are still split one at a time, because holding every token
-    # of a large model at once costs more memory than the model itself.
     body = lines[1:-2]
-    centroids = np.empty((len(body), num_features), dtype=np.float64)
-    labels: list[str] = []
-    counts: list[int] = []
-    spreads: list[float] = []
-    for row, ln in enumerate(body):
-        tokens = ln.split()
-        if len(tokens) != 4 + num_features:
-            raise ModelFormatError(
-                f"expected {4 + num_features} tokens per chromosome row, got {len(tokens)}"
-            )
-        label, category = tokens[0], tokens[1]
-        try:
-            count = int(tokens[2])
-            spread = float(tokens[3])
-        except ValueError as exc:
-            raise ModelFormatError(f"bad chromosome row: {exc}") from None
-        if category not in CATEGORIES:
-            raise ModelFormatError(f"unknown category {category!r}")
-        if count < 1:
-            raise ModelFormatError(f"member count {count} is below 1")
-        if not 0.0 <= spread < math.inf:
-            raise ModelFormatError(f"spread {spread!r} is not a finite non-negative number")
-        expected = attack_category(label)
-        if category != expected:
-            raise ModelFormatError(
-                f"label {label!r} is listed under {category!r}; training gives it {expected!r}"
-            )
-        centroids[row] = parse_values(tokens[4:])
-        labels.append(label)
-        counts.append(count)
-        spreads.append(spread)
-    check_values(centroids, 0.0, 1.0)
+    columns = _row_columns(body)
+    if columns is None:
+        columns = _checked_rows(body)
+    labels, counts, spreads, centroids = columns
 
     # The model's training_size is this sum; checked first, because a file
     # without rows should fail on the header, not on the empty model.
@@ -414,3 +380,99 @@ def load_model(path) -> ChromosomeModel:
         normalization=normalization,
         range_used=range_used,
     )
+
+
+def _parse_values(tokens: list[str]) -> list[float]:
+    if len(tokens) != NUM_FEATURES:
+        raise ModelFormatError(f"expected {NUM_FEATURES} values per row, got {len(tokens)}")
+    try:
+        return [float(t) for t in tokens]
+    except ValueError as exc:
+        raise ModelFormatError(f"bad value: {exc}") from None
+
+
+def _check_values(values: np.ndarray, low: float = -math.inf, high: float = math.inf) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ModelFormatError("non-finite value in a model row")
+    if (values < low).any() or (values > high).any():
+        raise ModelFormatError(f"model row value outside [{low:g},{high:g}]")
+    return values
+
+
+def _row_columns(body: list[str]):
+    """The labels, member counts, spreads and centroids of the chromosome
+    rows, or None when a row fails a check of `_checked_rows` or does not
+    read as np.loadtxt. Each row's label, category and count are split off;
+    its spread and values go through one `read_columns` call per PARSE_ROWS
+    rows, and every check runs on the columns."""
+    width = 1 + NUM_FEATURES
+    values = np.empty((len(body), width))
+    labels: list[str] = []
+    counts: list[int] = []
+    pairs: set[tuple[str, str]] = set()  # (label, category)
+    for start in range(0, len(body), PARSE_ROWS):
+        heads = [ln.split(None, 3) for ln in body[start : start + PARSE_ROWS]]
+        if any(len(head) != 4 for head in heads):
+            return None
+        label, category, count, rest = zip(*heads)
+        block = read_columns(rest, width)
+        if block is None:
+            return None
+        values[start : start + len(block)] = block
+        labels += label
+        pairs.update(zip(label, category))
+        try:
+            counts += map(int, count)
+        except ValueError:
+            return None
+    spreads, centroids = values[:, 0], values[:, 1:]
+    if not (
+        all(category in CATEGORIES and category == attack_category(label) for label, category in pairs)
+        and 1 <= min(counts, default=1)
+        and max(counts, default=1) <= _INT64_MAX
+        and ((spreads >= 0.0) & (spreads < math.inf)).all()
+        and ((centroids >= 0.0) & (centroids <= 1.0)).all()
+    ):
+        return None
+    return labels, counts, spreads, centroids
+
+
+def _checked_rows(body: list[str]):
+    """`_row_columns`' result, row by row: the first row that fails a check
+    raises ModelFormatError, then a centroid value that is not finite or
+    lies outside [0,1]."""
+    centroids = np.empty((len(body), NUM_FEATURES), dtype=np.float64)
+    labels: list[str] = []
+    counts: list[int] = []
+    spreads: list[float] = []
+    for row, ln in enumerate(body):
+        tokens = ln.split()
+        if len(tokens) != 4 + NUM_FEATURES:
+            raise ModelFormatError(
+                f"expected {4 + NUM_FEATURES} tokens per chromosome row, got {len(tokens)}"
+            )
+        label, category = tokens[0], tokens[1]
+        try:
+            count = int(tokens[2])
+            spread = float(tokens[3])
+        except ValueError as exc:
+            raise ModelFormatError(f"bad chromosome row: {exc}") from None
+        if category not in CATEGORIES:
+            raise ModelFormatError(f"unknown category {category!r}")
+        if count < 1:
+            raise ModelFormatError(f"member count {count} is below 1")
+        if count > _INT64_MAX:
+            raise ModelFormatError(f"member count {count} does not fit in 64 bits")
+        if not 0.0 <= spread < math.inf:
+            raise ModelFormatError(f"spread {spread!r} is not a finite non-negative number")
+        expected = attack_category(label)
+        if category != expected:
+            raise ModelFormatError(
+                f"label {label!r} is listed under {category!r}; training gives it {expected!r}"
+            )
+        centroids[row] = _parse_values(tokens[4:])
+        labels.append(label)
+        counts.append(count)
+        spreads.append(spread)
+    _check_values(centroids, 0.0, 1.0)
+    return labels, counts, spreads, centroids

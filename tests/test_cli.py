@@ -898,6 +898,27 @@ def test_parse_and_model_errors_exit_through_the_entry_point(trained, tmp_path):
         assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("count, code", [(2**63 - 1, EXIT_OK), (2**63, EXIT_MODEL), (10**30, EXIT_MODEL)])
+def test_member_count_past_int64_exits_model(trained, tmp_path, count, code):
+    # Member counts are held as int64; a larger count, with the header's
+    # training size to match, is a model error and not a crash.
+    _, test = trained
+    zeros, ones = " ".join(["0.0"] * ingest.NUM_FEATURES), " ".join(["1.0"] * ingest.NUM_FEATURES)
+    model_path = tmp_path / "big.model"
+    model_path.write_text(
+        f"gaids-model 1 0.125 {count} {ingest.NUM_FEATURES}\nnormal normal {count} 0.0 {zeros}\n{zeros}\n{ones}\n"
+    )
+    proc = gaids_process(
+        "evaluate", "--model", str(model_path), "--test-file", str(test),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == code, err
+    assert "Traceback" not in err
+    if code == EXIT_MODEL:
+        assert err == f"error: member count {count} does not fit in 64 bits\n"
+
+
 # Each error class and the exit code README documents for it.
 DOCUMENTED_EXIT_CODES = {
     errors.GaidsError: EXIT_CONFIG,

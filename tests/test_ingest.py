@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -334,7 +335,13 @@ class TestNormalization:
 
 # -- fuzzed lines against a field-by-field reference parser --------------------
 
-FUZZ_VALUES = ["oops", "nan", "inf", "-inf", "1e999", "\u00e9", "\ufffd", "\u0663", "", " 7 "]
+# "1_0" and "\u0663" are numbers to float() but not to np.loadtxt; "\x1c1" is
+# one to np.loadtxt but not to float(); "-0" and "4.9e-324" must keep their
+# sign and subnormal bits.
+FUZZ_VALUES = [
+    "oops", "nan", "inf", "-inf", "1e999", "\u00e9", "\ufffd", "\u0663", "", " 7 ",
+    "1_0", "-0", "4.9e-324", "\x0c1", "\x1c1",
+]
 ODD_LABELS = ["foo bar.", "normal. ", " smurf.", "\u00e9.", "\ufffd", "nor\x1fmal."]
 
 
@@ -403,6 +410,41 @@ def fuzzed_file(draw):
     return lines
 
 
+def same_rows(features, rows):
+    """Whether a feature matrix holds these rows of floats bit for bit
+    (== would take -0.0 for 0.0)."""
+    expected = np.array(rows, dtype=np.float64).reshape(-1, NUM_FEATURES)
+    return features.shape == expected.shape and features.tobytes() == expected.tobytes()
+
+
+def assert_file_matches_reference(lines):
+    """read_records on the whole file against `reference` line by line: the
+    first bad line's class and file:line in strict mode; in lenient mode the
+    skip count, the names and the kept rows, bit for bit."""
+    refs = [(n, ln, *reference(ln)) for n, ln in enumerate(lines, start=1) if ln.strip()]
+    first_bad = next(((n, error) for n, _, error, _ in refs if error is not None), None)
+    if first_bad is None:
+        data, skipped = read_records(lines, source="f.kdd")
+        assert skipped == 0
+        assert same_rows(data.features, [v for _, _, _, v in refs])
+    else:
+        lineno, error = first_bad
+        with pytest.raises(error, match=f"^f.kdd:{lineno}: "):
+            read_records(lines, source="f.kdd")
+
+    # Lenient keeps every row strict accepts plus the unknown names (under
+    # the fallback category) and skips exactly the lines strict rejects for
+    # any other reason.
+    data, skipped = read_records(lines, strict=False, source="f.kdd")
+    kept = [(ln, error, v) for _, ln, error, v in refs if error in (None, UnknownLabel)]
+    assert skipped == len(refs) - len(kept)
+    assert same_rows(data.features, [v for _, _, v in kept])
+    assert data.attack_names == [reference_label(ln) for ln, _, _ in kept]
+    for r, (_, error, _) in zip(data, kept):
+        if error is UnknownLabel:
+            assert r.category == ingest.FALLBACK_CATEGORY
+
+
 # A good and a bad line that each repeat, between blank lines: the cache
 # holds (row, name) for one and (error class, message) for the other, and
 # a repeat must be read as the kind its first sight was.
@@ -413,14 +455,18 @@ _BAD_LINE = REAL_LINES[2].replace(",1032,", ",x,")
 @given(fuzzed_file())
 @example([REAL_LINES[0], "", _BAD_LINE, REAL_LINES[0], "  ", _BAD_LINE, ""])
 @example([_BAD_LINE, "", REAL_LINES[0], _BAD_LINE, "  ", REAL_LINES[0]])
+# An unknown name and a bad number on one line: the number is checked first.
+@example([REAL_LINES[0], _BAD_LINE.replace("smurf.", "zerg_rush.")])
+# np.loadtxt reads each of these fields as a number; float() reads only -0.
+@example([REAL_LINES[1].replace(",239,", ",\x1c1,"), REAL_LINES[0].replace(",181,", ",-0,")])
 def test_parser_matches_reference(lines):
-    numbered = [(n, ln) for n, ln in enumerate(lines, start=1) if ln.strip()]
-    refs = [(n, *reference(ln)) for n, ln in numbered]
-
-    for (_, line), (_, error, values) in zip(numbered, refs):
+    for line in lines:
+        if not line.strip():
+            continue
+        error, values = reference(line)
         if error is None:
             data, _ = read_records([line], source="f.kdd")
-            assert data.features.tolist() == [values]
+            assert same_rows(data.features, [values])
         else:
             with pytest.raises(error, match="^f.kdd:1: "):
                 read_records([line], source="f.kdd")
@@ -434,25 +480,52 @@ def test_parser_matches_reference(lines):
             assert len(raw.fields) == 41
             assert raw.label == reference_label(line)
             assert raw.trailing_period == line.rstrip("\r\n").endswith(".")
+    assert_file_matches_reference(lines)
 
-    first_bad = next(((n, error) for n, error, _ in refs if error is not None), None)
-    if first_bad is None:
-        data, skipped = read_records(lines, source="f.kdd")
-        assert skipped == 0
-        assert data.features.tolist() == [v for _, _, v in refs]
-    else:
-        lineno, error = first_bad
-        with pytest.raises(error, match=f"^f.kdd:{lineno}: "):
-            read_records(lines, source="f.kdd")
 
-    # Lenient keeps every row strict accepts plus the unknown names (under
-    # the fallback category) and skips exactly the lines strict rejects for
-    # any other reason.
-    data, skipped = read_records(lines, strict=False, source="f.kdd")
-    kept = [(v, error) for _, error, v in refs if error in (None, UnknownLabel)]
-    assert skipped == len(refs) - len(kept)
-    assert data.features.shape == (len(kept), NUM_FEATURES)
-    assert data.features.tolist() == [v for v, _ in kept]
-    for r, (_, error) in zip(data, kept):
-        if error is UnknownLabel:
-            assert r.category == ingest.FALLBACK_CATEGORY
+def numbered_line(i, label="normal."):
+    """A well-formed line that differs from every other i in field 5."""
+    return make_line(label).replace(",4,", f",{i},", 1)
+
+
+def test_bad_lines_across_conversion_blocks():
+    # Over three blocks of distinct lines, with repeats and blank lines
+    # between them: bad lines at a block's first and last line, two in one
+    # block, a non-finite value, a bad shape and an unknown name, and a bad
+    # line whose repeats fall in later blocks. Each kind is the file's first
+    # bad line in turn.
+    b = ingest.PARSE_ROWS
+    repeated_bad = numbered_line(2 * b + 3).replace(",5,", ",x,", 1)
+    bad = {
+        b - 1: numbered_line(b - 1).replace(",5,", ",oops,", 1),
+        b: numbered_line(b).replace(",6,", ",,", 1),
+        b + 5: numbered_line(b + 5).replace(",7,", ",1_0x,", 1),
+        b + 9: numbered_line(b + 9).replace(",8,", ",\u00e9,", 1),
+        2 * b + 3: repeated_bad,
+        2 * b + 6: numbered_line(2 * b + 6).replace(",9,", ",1e999,", 1),
+        2 * b + 8: "1,2,3",
+        3 * b + 1: numbered_line(3 * b + 1, "zerg_rush."),
+    }
+    distinct = [bad.get(i, numbered_line(i)) for i in range(3 * b + 10)]
+    lines = []
+    for i, line in enumerate(distinct):
+        lines.append(line)
+        if i % 7 == 3:
+            lines += ["", distinct[i // 2]]
+        if i % 11 == 5:
+            lines.append(repeated_bad)
+    lines += [repeated_bad, distinct[b - 1]]
+    for first in sorted(bad):
+        kept = [numbered_line(i) if i in bad and i < first else line for i, line in enumerate(distinct)]
+        text = dict(zip(distinct, kept))
+        assert_file_matches_reference([text.get(line, line) for line in lines])
+
+
+@pytest.mark.parametrize("lines", [["", "  ", "\r\n"], ["1,2,3", _BAD_LINE, _BAD_LINE]])
+def test_file_without_rows_reads_empty_matrix(lines):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data, skipped = read_records(lines, strict=False)
+    assert data.features.shape == (0, NUM_FEATURES)
+    assert data.attack_names == []
+    assert skipped == len([ln for ln in lines if ln.strip()])

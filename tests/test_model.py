@@ -687,6 +687,34 @@ class TestPersistence:
             with pytest.raises(TypeError):
                 ChromosomeModel(**columns, **derived)
 
+    @pytest.mark.parametrize("variant", ["tabs", "double spaces", "spread 1_0"])
+    def test_loose_tokens_load_as_canonical(self, tmp_path, rng, variant):
+        # A hand-edited file whose tokens are split by other whitespace, or
+        # whose spread is a number np.loadtxt does not read but float() does,
+        # loads to the model of the canonical file and saves its bytes.
+        labels = ["normal", "smurf", "zerg_rush"] * 30
+        spreads = rng.random(len(labels))
+        spreads[1] = 10.0
+        m = build_model(rng.random((len(labels), NUM_FEATURES)), labels, spreads=spreads)
+        canonical, loose, resaved = (tmp_path / name for name in ("a.model", "b.model", "c.model"))
+        save_model(m, canonical)
+        lines = canonical.read_text().splitlines()
+        if variant == "spread 1_0":
+            row = next(i for i, ln in enumerate(lines) if ln.split()[3] == "10.0")
+            tokens = lines[row].split(" ")
+            tokens[3] = "1_0"
+            lines[row] = " ".join(tokens)
+        else:
+            sep = "\t" if variant == "tabs" else "  "
+            lines = [sep.join(ln.split(" ")) for ln in lines]
+        loose.write_text("\n".join(lines) + "\n")
+        loaded, expected = load_model(loose), load_model(canonical)
+        assert loaded.labels == expected.labels
+        for column in ("centroids", "member_counts", "spreads"):
+            assert getattr(loaded, column).tobytes() == getattr(expected, column).tobytes()
+        save_model(loaded, resaved)
+        assert resaved.read_bytes() == canonical.read_bytes()
+
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text("gaids-model 99 0.125 0 38\n" + " ".join(["0.0"] * 38) + "\n" + " ".join(["1.0"] * 38) + "\n")
