@@ -17,8 +17,10 @@ alternating from pair to pair; an untimed pair 0 fills the file cache. A
 child is a fresh interpreter on its tree's `src` with OpenBLAS on one thread,
 as the `gaids` commands run. It loads the model and the test file, runs
 `engine.run_batch` once untimed, then --repeats times, and reports the best
-time per record. It then runs one more pass with counting wrappers around
-`kernels.batch_fitness`, `kernels.candidate_columns` and `engine._search`:
+time per record. It then counts, untimed: the tracemalloc peak of one
+more `engine.run_batch` call (peak_block_bytes, what the engine's 2 MiB
+block budget is to bound), and, in one pass with counting wrappers around
+`kernels.batch_fitness`, `kernels.candidate_columns` and `engine._search`,
 records per block (R), blocks, kernel calls, rows scored, kept columns per
 call and keep-set computations per block.
 
@@ -72,7 +74,7 @@ print(json.dumps(shapes))
 # One side's timing of one workload: argv is the model, the test file and
 # the timed repeats. Prints one JSON object.
 TIMER = """\
-import hashlib, json, statistics, sys, time
+import hashlib, json, statistics, sys, time, tracemalloc
 from gaids import engine, kernels
 from gaids.ingest import load_file
 from gaids.model import load_model
@@ -85,6 +87,10 @@ for _ in range(int(sys.argv[3])):
     start = time.perf_counter()
     engine.run_batch(data, model, params)
     times.append(time.perf_counter() - start)
+tracemalloc.start()
+engine.run_batch(data, model, params)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
 blocks, calls, keeps = [], [], [0]
 fitness, keep, search = kernels.batch_fitness, kernels.candidate_columns, engine._search
 def counted_fitness(genes, centroids, *rest):
@@ -103,7 +109,7 @@ print(json.dumps({
     "ms_per_record": min(times) * 1e3 / len(data),
     "digest": hashlib.sha256(repr([(p.attack_name, p.survivor_fitness) for p in preds]).encode()).hexdigest()[:16],
     "counts": {
-        "R": max(blocks), "blocks": len(blocks), "kernel_calls": len(calls),
+        "R": max(blocks), "blocks": len(blocks), "peak_block_bytes": peak, "kernel_calls": len(calls),
         "rows_scored": sum(r for r, _ in calls), "pairs_scanned": sum(r * c for r, c in calls),
         "kept_columns_per_call": {"median": statistics.median(kept), "max": max(kept)},
         "keep_sets_per_block": round(keeps[0] / len(blocks), 3),

@@ -38,16 +38,16 @@ No step mixes records, and the kernel returns for each row what a per-row
 scan over every chromosome would (the kernels module docstring proves it
 for the pruned scan), so a record's prediction does not depend on its
 block or on its neighbours. `detect` is the block of one record, and
-`run_batch` cuts a batch into blocks once, and every share of a
+`run_batch` cuts a batch into equal blocks once, and every share of a
 `--workers` run carries whole blocks.
 
 The draw tape. All randomness flows through numpy's PCG64. Record i of a
 batch has its own stream PCG64(seed XOR i), so output is identical for any
-worker count and any block size. A record draws its whole tape up front,
-in four generator calls, every value whether or not the search uses it.
-With n features, generation sizes s_0 = P, s_1, ..., s_{G-1}, and the
-crossover and mutation steps run at sizes s_1..s_{G-1} (after each select),
-write C = sum(s_g // 2) and M = sum(s_g) over g = 1..G-1. In draw order:
+worker count and any block size. A record's tape is every value of four
+generator calls on its stream, whether or not the search uses it. With n
+features, generation sizes s_0 = P, s_1, ..., s_{G-1}, and the crossover
+and mutation steps run at sizes s_1..s_{G-1} (after each select), write
+C = sum(s_g // 2) and M = sum(s_g) over g = 1..G-1. In draw order:
 
 - uniforms = random((P-1)*n + C + M): the initial gene gates of rows
   1..P-1 (row-major), then one crossover gate per pair, then one mutation
@@ -59,6 +59,23 @@ write C = sum(s_g // 2) and M = sum(s_g) over g = 1..G-1. In draw order:
 
 Within the crossover and mutation sections the values run generation by
 generation, then pair by pair (row by row).
+
+`populate` draws these values with other calls and holds less of them. A
+split call draws what the whole call does, as a double and a normal carry
+no state from one value to the next. The initial gates go to one scratch
+row that every record reuses and leave a mask of the genes that keep
+their record's value; the initial noise goes straight into the record's
+gene rows 1..P-1. The cuts and loci come from one
+`random_raw(ceil((C + M) / 2))` call. numpy's rule (Lemire's) for an
+integer of a span below 2**32 takes a 32-bit half h of a 64-bit word, the
+low half first, and returns (h * span) >> 32, with span n - 1 for a cut
+and n for a locus. It rejects h when (h * span) mod 2**32 is below
+2**32 mod span (7 and 6 at n = 38, about one half in 6 * 10^8) and draws
+another half, which moves every later value. So `_bounded` converts the
+halves of the whole block at once, and a record with a rejected half
+rewinds its stream by the words it drew and draws its cuts and loci
+through `Generator.integers`, as the four calls do. Below n = 3 a span of
+1 draws no half, and every record takes that path.
 """
 
 from __future__ import annotations
@@ -140,13 +157,11 @@ def schedule(params: GaParams) -> list[int]:
 
 
 class Tape(NamedTuple):
-    """A block's random values, one row per record, as the sections of the
-    layout the module docstring gives. With R records, P candidates, n
-    features, C pairs and M rows: init_gates and init_noise are (R, P-1, n);
-    pair_gates and cuts (R, C); row_gates, loci and deltas (R, M)."""
+    """What a block's generation loop reads of its records' tapes, one row
+    per record, as the sections of the layout the module docstring gives.
+    With R records, C pairs and M rows: pair_gates and cuts are (R, C);
+    row_gates, loci and deltas (R, M)."""
 
-    init_gates: np.ndarray
-    init_noise: np.ndarray
     pair_gates: np.ndarray
     cuts: np.ndarray
     row_gates: np.ndarray
@@ -160,50 +175,69 @@ def _tape_widths(params: GaParams, n: int) -> tuple[int, int, int]:
     return (sizes[0] - 1) * n, sum(s // 2 for s in sizes[1:]), sum(sizes[1:])
 
 
-def draw_tape(rngs: Sequence[np.random.Generator], params: GaParams, n: int) -> Tape:
-    """Draw the tape of each record from its own stream."""
+def _bounded(words: np.ndarray, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's rule for integers of a span below 2**32 (Lemire's), on the
+    32-bit halves of the (R, W) 64-bit words, low half first: the first
+    len(spans) halves h give (h * span) >> 32. Also returns which records
+    have a half whose (h * span) mod 2**32 is below 2**32 mod span, where
+    the rule rejects the half and draws another."""
+    halves = np.empty((words.shape[0], 2 * words.shape[1]), dtype=np.uint64)
+    np.bitwise_and(words, 0xFFFFFFFF, out=halves[:, 0::2])
+    np.right_shift(words, 32, out=halves[:, 1::2])
+    scaled = halves[:, : spans.size]
+    scaled *= spans
+    rejected = ((scaled & 0xFFFFFFFF) < 2**32 % spans).any(axis=1)
+    scaled >>= 32
+    return scaled.astype(np.intp), rejected
+
+
+def populate(x: np.ndarray, rngs: Sequence[np.random.Generator], params: GaParams) -> tuple[np.ndarray, Tape]:
+    """Draw the tape of each record of x (R, n) from its own stream, and
+    build generation 0: (R, P, n) genes whose row 0 is the record and where,
+    in rows 1..P-1, a gene whose gate is below mutation_rate becomes
+    clip(x + noise, 0, 1). Returns the genes and the rest of the tape."""
+    count, n = x.shape
     init, pairs, rows = _tape_widths(params, n)
-    count = len(rngs)
-    width = init + pairs + rows
+    words = -(-(pairs + rows) // 2)
     # numpy raises ValueError for a shape whose byte count overflows a
     # signed size; report it as the allocation failure it is.
-    if count * width > np.iinfo(np.intp).max // 8:
-        raise MemoryError(f"cannot allocate a {count} x {width} float64 tape")
-    uniforms = np.empty((count, width))
-    normals = np.empty((count, init + rows))
-    cuts = np.empty((count, pairs), dtype=np.int64)
-    loci = np.empty((count, rows), dtype=np.int64)
+    if count * params.population_size * n > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"cannot allocate {count} x {params.population_size} x {n} float64 genes")
+    genes = np.empty((count, params.population_size, n))
+    held = np.empty((count, init), dtype=bool)
+    gates = np.empty((count, pairs + rows))
+    deltas = np.empty((count, rows))
+    raw = np.empty((count, words), dtype=np.uint64)
+    uniforms = np.empty(init)
+    noise = genes.reshape(count, -1)[:, n:]
     for i, rng in enumerate(rngs):
-        rng.random(out=uniforms[i])
-        rng.standard_normal(out=normals[i])
+        rng.random(out=uniforms)
+        np.greater_equal(uniforms, params.mutation_rate, out=held[i])
+        rng.random(out=gates[i])
+        rng.standard_normal(out=noise[i])
+        rng.standard_normal(out=deltas[i])
+        raw[i] = rng.bit_generator.random_raw(words)
+    copies = genes[:, 1:]
+    # A huge sigma overflows to +-inf, which the clip maps to 1 or 0.
+    with np.errstate(over="ignore"):
+        copies *= params.mutation_sigma
+        deltas *= params.mutation_sigma
+    copies += x[:, None, :]
+    np.clip(copies, 0.0, 1.0, out=copies)
+    np.copyto(copies, x[:, None, :], where=held.reshape(copies.shape))
+    genes[:, 0] = x
+
+    if n > 2:
+        values, rejected = _bounded(raw, np.repeat(np.array([n - 1, n], dtype=np.uint64), [pairs, rows]))
+    else:  # numpy's rule draws no word for a span below 2
+        values, rejected = np.zeros((count, pairs + rows), dtype=np.intp), np.ones(count, dtype=bool)
+    cuts, loci = values[:, :pairs] + 1, values[:, pairs:]
+    for i in np.flatnonzero(rejected):
+        rng = rngs[i]
+        rng.bit_generator.advance(-words)
         cuts[i] = rng.integers(1, n, pairs)
         loci[i] = rng.integers(0, n, rows)
-    # A huge sigma overflows to +-inf, which the operators clamp to 1 or 0.
-    with np.errstate(over="ignore"):
-        normals *= params.mutation_sigma
-    shape = (count, params.population_size - 1, n)
-    return Tape(
-        init_gates=uniforms[:, :init].reshape(shape),
-        init_noise=normals[:, :init].reshape(shape),
-        pair_gates=uniforms[:, init : init + pairs],
-        cuts=cuts,
-        row_gates=uniforms[:, init + pairs :],
-        loci=loci,
-        deltas=normals[:, init:],
-    )
-
-
-def initialize_population(x: np.ndarray, gates: np.ndarray, noise: np.ndarray, rate: float) -> np.ndarray:
-    """(R, P, n) genes for the (R, n) records x. Row 0 of each population
-    is its record; in rows 1..P-1 (gates and noise are (R, P-1, n)) a gene
-    whose gate is below rate becomes clip(x + noise, 0, 1)."""
-    genes = np.empty((x.shape[0], gates.shape[1] + 1, x.shape[1]))
-    genes[:, 0] = x
-    copies = genes[:, 1:]
-    np.add(x[:, None, :], noise, out=copies)
-    np.clip(copies, 0.0, 1.0, out=copies)
-    np.copyto(copies, x[:, None, :], where=gates >= rate)
-    return genes
+    return genes, Tape(gates[:, :pairs], cuts, gates[:, pairs:], loci, deltas)
 
 
 def select(
@@ -221,12 +255,11 @@ def select(
     return genes.reshape(-1, genes.shape[-1])[order], fitness.reshape(-1)[order], nearest.reshape(-1)[order]
 
 
-def decide(tape: Tape, params: GaParams) -> tuple[np.ndarray, np.ndarray]:
+def decide(tape: Tape, params: GaParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every crossover and mutation decision of a block, made once from its
     tape: (R, C, n) swap masks, where a pair whose gate is below
-    crossover_rate exchanges its genes from its cut on, and (R, M) hits,
+    crossover_rate exchanges its n genes from its cut on, and (R, M) hits,
     the rows whose gate is below mutation_rate."""
-    n = tape.init_gates.shape[2]
     swaps = (tape.pair_gates < params.crossover_rate)[..., None] & (np.arange(n) >= tape.cuts[..., None])
     return swaps, tape.row_gates < params.mutation_rate
 
@@ -254,22 +287,24 @@ def mutate(genes: np.ndarray, hit: np.ndarray, loci: np.ndarray, deltas: np.ndar
 
 def _gather(kept: np.ndarray, model: ChromosomeModel) -> tuple[np.ndarray, ...]:
     """The chromosomes set in the mask kept: ascending model indices, and
-    their centroids, squared norms and denominators."""
+    their centroids, squared norms, denominators and fitness weights."""
     cols = np.flatnonzero(kept)
-    return cols, model.centroids[cols], model.sq_norms[cols], model.denoms[cols]
+    denoms = model.denoms[cols]
+    weights = kernels.fitness_weights(denoms, model.centroids.shape[1])
+    return cols, model.centroids[cols], model.sq_norms[cols], denoms, weights
 
 
 def _fitness(rows: np.ndarray, scan: tuple[np.ndarray, ...], population: int) -> tuple[np.ndarray, np.ndarray]:
     """Fitness and nearest chromosome (model index) of each of the (M, n)
     rows, scanning the chromosomes `_gather` gave, at most
     max(population, _BLOCK_ELEMENTS // kept) rows per call."""
-    cols, centroids, sq_norms, denoms = scan
+    cols, *columns = scan
     step = max(population, _BLOCK_ELEMENTS // cols.size)
     fitness = np.empty(rows.shape[0])
     nearest = np.empty(rows.shape[0], dtype=np.intp)
     for lo in range(0, rows.shape[0], step):
         part = slice(lo, lo + step)
-        fitness[part], nearest[part] = kernels.batch_fitness(rows[part], centroids, sq_norms, denoms)
+        fitness[part], nearest[part] = kernels.batch_fitness(rows[part], *columns)
     return fitness, cols[nearest]
 
 
@@ -282,9 +317,8 @@ def _search(
     """Classify the (R, n) normalized records x, record r drawing from rngs[r]."""
     sizes = schedule(params)
     count, n = x.shape
-    tape = draw_tape(rngs, params, n)
-    genes = initialize_population(x, tape.init_gates, tape.init_noise, params.mutation_rate)
-    swaps, hits = decide(tape, params)
+    genes, tape = populate(x, rngs, params)
+    swaps, hits = decide(tape, params, n)
     paired = np.repeat(swaps.any(axis=2), 2, axis=1)
     lower, upper = kernels.record_bounds(x, model.centroids, model.sq_norms)
     delta = kernels.reach(genes, x)
@@ -354,19 +388,26 @@ _BLOCK_BYTES = 2**21
 
 def _block_records(params: GaParams, n: int, k: int) -> int:
     """R, the records per block, the unit of work of the serial path and of
-    each worker's share. A record holds its tape (2 (P-1) n + 2 C + 3 M
-    values), four arrays of its genes' size (the genes, `reach`'s
-    difference, and `batch_fitness`'s two (rows, n) gathers when one call
-    scores the whole block) and 3 K bound values (the two (R, K) rows the
-    block keeps, and one more while they are computed).
+    each worker's share. A record holds 8-byte values: its genes and one
+    more array of their size (`batch_fitness`'s gather of the rows it
+    scores, when one call scores the whole block), 3 (C + M) of its tape
+    (the gates, and the cuts and loci with a copy of the cuts), M mutation
+    deltas and 4 K bound values (the two (R, K) rows the block keeps, and
+    two more while `kernels.record_bounds` computes them); and C n bytes
+    of swap masks. The tape's initial gates and noise are not held: they
+    go into the genes as they are drawn (`populate`).
 
     The count tracks the peak of the arrays a block allocates (tracemalloc,
-    seed 5): about 60 KB per record at K = 29 and 190 KB at K = 4,995,
-    against 62 and 181 KB counted. With P = 32, R is 33 at a few dozen
-    chromosomes, 30 at K = 331, 19 at K = 1,916 and 11 at K = 5,000."""
-    init, pairs, rows = _tape_widths(params, n)
-    per_record = 8 * (2 * init + 2 * pairs + 3 * rows + 4 * params.population_size * n + 3 * k)
-    return max(1, _BLOCK_BYTES // per_record)
+    seed 5): a block of R records peaks at 2.06 MB on few-prototypes
+    (K = 29), 1.80 MB on kdd-train (K = 331), 1.84 MB on many-prototypes
+    (K = 1,916) and 1.93 MB at K = 4,995. Past a fixed part (the kernel's
+    (K, rows) arrays and its gather, both capped per call), that is about
+    15 KB a record at K = 29 and 175 KB at K = 4,995, against 27 and
+    191 KB counted. With P = 32, R is 78 at a few dozen chromosomes, 57 at
+    K = 331, 24 at K = 1,916 and 11 at K = 5,000."""
+    _, pairs, rows = _tape_widths(params, n)
+    values = 2 * params.population_size * n + 3 * (pairs + rows) + rows + 4 * k
+    return max(1, _BLOCK_BYTES // (8 * values + pairs * n))
 
 
 def _detect_block(
@@ -380,10 +421,16 @@ def _detect_block(
 def run_batch(
     records: Dataset, model: ChromosomeModel, params: GaParams, workers: int = 1
 ) -> list[Prediction]:
-    """Detect every record, in blocks of R records mapped over `workers`
-    processes (`parallel.map_tasks`). Per-record RNG streams make the
-    result identical for any worker count."""
-    step = _block_records(params, model.centroids.shape[1], model.centroids.shape[0])
-    blocks = [range(lo, min(lo + step, len(records))) for lo in range(0, len(records), step)]
-    parts = parallel.map_tasks(partial(_detect_block, model, params, records.features), blocks, workers)
+    """Detect every record, in equal blocks of at most R records mapped
+    over `workers` processes (`parallel.map_tasks`). A batch of more than
+    one block is cut into a multiple of the processes the map runs, so that
+    the shares are equal. Per-record RNG streams make the result identical
+    for any worker count."""
+    count = len(records)
+    blocks = -(-count // _block_records(params, model.centroids.shape[1], model.centroids.shape[0]))
+    if blocks > 1:
+        processes = min(workers, parallel.available_cpus())
+        blocks = min(count, -(-blocks // processes) * processes)
+    tasks = [range(count * b // blocks, count * (b + 1) // blocks) for b in range(blocks)]
+    parts = parallel.map_tasks(partial(_detect_block, model, params, records.features), tasks, workers)
     return [p for part in parts for p in part]

@@ -9,27 +9,35 @@ chromosomes in one screen-and-verify pass instead of one full scan per row.
 Write d2 for a squared distance, s = ||g||^2 + ||c||^2 and eps for the
 float64 machine epsilon.
 
-1. Screen: all P*K squared distances come from one matmul,
-   d2 ~ s - 2 g.c. This is fast, but it cancels when g is near c, so it
+1. Screen: all K*P squared distances come from one matmul,
+   d2 ~ s - 2 c.g, laid out (K, P), a row per chromosome, so that the
+   reductions over the chromosomes in steps 2 to 4 run along the long
+   axis of P rows. This is fast, but it cancels when g is near c, so it
    only brackets the true value.
-2. Bound: the rounding error of that expression plus the gap between the
-   true d2 and the float the exact expression of step 3 sums is below
-   4 (n+2) eps s; the slack 8 (n+2) eps (s + tiny) doubles that, and `tiny`
-   (the smallest normal float) covers the absolute error of gradual
-   underflow. So d2 - slack <= exact d2 <= d2 + slack. Multiplied by
-   1 / (n (spread+eps)^2), these give a lower and an upper value that
-   bracket the square of each exact score to within about 10 eps relative.
-   The cut of a row is its smallest upper value widened by 64 eps, plus
-   tiny. A pair is a candidate when its lower value is at or below the cut;
-   the winning pair and every pair tied with it always are (and usually
-   they are the only ones).
-3. Rescore: the candidate pairs, gathered as (M, n) rows, are scored with
-   the exact expression sqrt(((c - g)**2).sum(axis=1) / n) / (spread + eps).
-   A sum along the last axis of a C-contiguous array adds each row in the
-   same order however many rows there are, so these are the same floats a
-   per-row scan returns.
-4. Pick: the exact scores go into an inf-filled (P, K) array, and argmin
-   along each row keeps the lowest-index tie rule.
+2. Bound: the rounding error of that expression, in any summation order,
+   plus the gap between the true d2 and the float the exact expression of
+   step 3 sums is below 4 (n+2) eps s; the slack 8 (n+2) eps (s + tiny)
+   doubles that, and `tiny` (the smallest normal float) covers the
+   absolute error of gradual underflow. So d2 - slack <= exact d2 <=
+   d2 + slack. Multiplied by the chromosome's weight 1 / (n (spread+eps)^2)
+   (`fitness_weights`, which a caller computes once for the columns it
+   scans), these give a lower and an upper value that bracket the square
+   of each exact score to within about 10 eps relative. The cut of a row
+   is its smallest upper value widened by 64 eps, plus tiny. A pair is a
+   candidate when its lower value is at or below the cut; the winning pair
+   and every pair tied with it always are (and usually they are the only
+   ones). So is the pair that sets the cut, as its lower value is at most
+   its upper one: every row has a candidate.
+3. Rescore: the candidate pairs are scored with the exact expression
+   sqrt(((c - g)**2).sum(axis=1) / n) / (spread + eps). When there are P
+   of them, each row has exactly one, its winner: the kernel gathers each
+   row's chromosome (one take) and scores the (P, n) rows. Otherwise the
+   candidate pairs are gathered as (M, n) rows. A sum along the last axis
+   of a C-contiguous array adds each row in the same order however many
+   rows there are, so these are the same floats a per-row scan returns.
+4. Pick: a row's one candidate is its minimum. Otherwise the exact scores
+   go into an inf-filled (K, P) array, and argmin down each column keeps
+   the lowest-index tie rule.
 
 Values and indices are therefore bit-identical to a per-row scan; only the
 amount of work changes.
@@ -161,18 +169,19 @@ def nearest_centroid(x: np.ndarray, centroids: np.ndarray) -> tuple[int, float]:
 
 
 def _screen(
-    points: np.ndarray, centroids: np.ndarray, sq_norms: np.ndarray
+    a: np.ndarray, b: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Steps 1 and 2: the (P, K) matmul squared distances and their slack."""
-    # The screen updates its (P, K) buffers in place: at these sizes a fresh
+    """Steps 1 and 2: the (A, B) matmul squared distances between the rows
+    of a and of b, whose squared norms are sq_a and sq_b, and their slack."""
+    # The screen updates its (A, B) buffers in place: at these sizes a fresh
     # temporary costs about as much as the arithmetic on it.
-    norms = np.einsum("ij,ij->i", points, points)[:, None] + sq_norms
-    d2 = points @ centroids.T
+    norms = sq_a[:, None] + sq_b
+    d2 = a @ b.T
     d2 *= -2.0
     d2 += norms
     slack = norms
     slack += _TINY
-    slack *= 8 * (centroids.shape[1] + 2) * _EPS
+    slack *= 8 * (a.shape[1] + 2) * _EPS
     return d2, slack
 
 
@@ -181,7 +190,7 @@ def record_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(R, K) lower and upper bounds on the distance sqrt(sum((x-c)^2)) from
     each record of x (R, n) to each row of `centroids` (step 5)."""
-    d2, slack = _screen(x, centroids, sq_norms)
+    d2, slack = _screen(x, centroids, np.einsum("ij,ij->i", x, x), sq_norms)
     upper = np.sqrt(d2 + slack)
     lower = d2
     lower -= slack
@@ -221,39 +230,57 @@ def candidate_columns(
     return np.nonzero((low <= cut).any(axis=0))[0]
 
 
+def fitness_weights(denoms: np.ndarray, n: int) -> np.ndarray:
+    """1 / (n denom^2) per chromosome: what turns a squared distance of n
+    features into a squared score (step 2)."""
+    # A huge spread overflows the product to inf and its weight to 0, which
+    # keeps every pair of that column a candidate for the exact rescore.
+    with np.errstate(over="ignore"):
+        return 1.0 / (n * denoms * denoms)
+
+
 def batch_fitness(
     genes: np.ndarray,
     centroids: np.ndarray,
     sq_norms: np.ndarray,
     denoms: np.ndarray,
+    weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spread-normalized nearest scan for a population.
 
     For each row g of `genes` (P, n), minimizes
     distance(g, centroids[k]) / denoms[k] over all k, where `centroids` is
-    C-contiguous (K, n), `sq_norms` is (centroids**2).sum(axis=1) and
-    `denoms` is spread + eps per chromosome. Returns (min values, argmin
-    indices), ties to the lowest index, equal bit for bit to a per-row scan.
+    C-contiguous (K, n), `sq_norms` is (centroids**2).sum(axis=1), `denoms`
+    is spread + eps and `weights` is `fitness_weights(denoms, n)` per
+    chromosome. Returns (min values, argmin indices), ties to the lowest
+    index, equal bit for bit to a per-row scan.
     """
     n = centroids.shape[1]
-    d2, slack = _screen(genes, centroids, sq_norms)
-    # A huge spread overflows the product to inf and its weight to 0, which
-    # keeps every pair of that column a candidate for the exact rescore.
-    with np.errstate(over="ignore"):
-        weights = 1.0 / (n * denoms * denoms)
+    d2, slack = _screen(centroids, genes, sq_norms, np.einsum("ij,ij->i", genes, genes))
+    weights = weights[:, None]
     upper = d2 + slack
     upper *= weights
     lower = d2
     lower -= slack
     lower *= weights
-    cut = upper.min(axis=1, keepdims=True) * _WIDEN + _TINY
-    rows, cols = np.divmod(np.flatnonzero(lower <= cut), centroids.shape[0])
-
+    cut = upper.min(axis=0)
+    cut *= _WIDEN
+    cut += _TINY
+    candidate = lower <= cut
+    if np.count_nonzero(candidate) == genes.shape[0]:
+        # Every row has a candidate (step 2), so each has exactly one, its
+        # winner.
+        idx = candidate.argmax(axis=0)
+        diff = centroids.take(idx, axis=0)
+        diff -= genes
+        diff *= diff
+        return np.sqrt(diff.sum(axis=1) / n) / denoms.take(idx), idx
+    cols, rows = np.nonzero(candidate)
     diff = centroids[cols]
     diff -= genes[rows]
     diff *= diff
     z = upper
     z.fill(np.inf)
-    z[rows, cols] = np.sqrt(diff.sum(axis=1) / n) / denoms[cols]
-    idx = z.argmin(axis=1)
-    return z[np.arange(idx.shape[0]), idx], idx
+    z[cols, rows] = np.sqrt(diff.sum(axis=1) / n) / denoms[cols]
+    idx = z.argmin(axis=0)
+    return z[idx, np.arange(idx.shape[0])], idx

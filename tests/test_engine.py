@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -16,9 +17,8 @@ from gaids.engine import (
     crossover,
     decide,
     detect,
-    draw_tape,
-    initialize_population,
     mutate,
+    populate,
     record_rng,
     run_batch,
     schedule,
@@ -72,19 +72,86 @@ class TestGaParams:
             GaParams(**kwargs)
 
 
+def weights_of(model):
+    """The fitness weights of every chromosome of the model."""
+    return kernels.fitness_weights(model.denoms, model.centroids.shape[1])
+
+
 def in_unit_cube(genes):
     return bool(np.all(genes >= 0.0) and np.all(genes <= 1.0))
 
 
+class OracleTape(NamedTuple):
+    """A whole tape as the module docstring lays it out: with R records, P
+    candidates, n features, C pairs and M rows, init_gates and init_noise
+    are (R, P-1, n); pair_gates and cuts (R, C); row_gates, loci and deltas
+    (R, M)."""
+
+    init_gates: np.ndarray
+    init_noise: np.ndarray
+    pair_gates: np.ndarray
+    cuts: np.ndarray
+    row_gates: np.ndarray
+    loci: np.ndarray
+    deltas: np.ndarray
+
+
+def oracle_tape(rngs, params, n):
+    """The reference draw: each record's whole tape in four Generator calls
+    on its own stream, every value whether or not the search uses it."""
+    sizes = schedule(params)
+    init, pairs, rows = (sizes[0] - 1) * n, sum(s // 2 for s in sizes[1:]), sum(sizes[1:])
+    count = len(rngs)
+    uniforms = np.empty((count, init + pairs + rows))
+    normals = np.empty((count, init + rows))
+    cuts = np.empty((count, pairs), dtype=np.int64)
+    loci = np.empty((count, rows), dtype=np.int64)
+    for i, rng in enumerate(rngs):
+        rng.random(out=uniforms[i])
+        rng.standard_normal(out=normals[i])
+        cuts[i] = rng.integers(1, n, pairs)
+        loci[i] = rng.integers(0, n, rows)
+    with np.errstate(over="ignore"):
+        normals *= params.mutation_sigma
+    shape = (count, params.population_size - 1, n)
+    return OracleTape(
+        init_gates=uniforms[:, :init].reshape(shape),
+        init_noise=normals[:, :init].reshape(shape),
+        pair_gates=uniforms[:, init : init + pairs],
+        cuts=cuts,
+        row_gates=uniforms[:, init + pairs :],
+        loci=loci,
+        deltas=normals[:, init:],
+    )
+
+
+def oracle_population(x, tape, rate):
+    """The reference generation 0: (R, P, n) genes whose row 0 is the
+    record; in rows 1..P-1 a gene whose gate is below rate becomes
+    clip(x + noise, 0, 1)."""
+    genes = np.empty((x.shape[0], tape.init_gates.shape[1] + 1, x.shape[1]))
+    genes[:, 0] = x
+    copies = genes[:, 1:]
+    np.add(x[:, None, :], tape.init_noise, out=copies)
+    np.clip(copies, 0.0, 1.0, out=copies)
+    np.copyto(copies, x[:, None, :], where=tape.init_gates >= rate)
+    return genes
+
+
+def streams(count, seed):
+    """The streams of records 0..count-1 of a batch run with this seed."""
+    return [record_rng(seed, i) for i in range(count)]
+
+
 def tape_for(params, count=1, seed=0):
-    """The tapes of records 0..count-1 of a batch run with this seed."""
-    return draw_tape([record_rng(seed, i) for i in range(count)], params, NUM_FEATURES)
+    """The reference tapes of records 0..count-1 of a batch run with this seed."""
+    return oracle_tape(streams(count, seed), params, NUM_FEATURES)
 
 
-def populate(x, params, seed=0):
-    """Initial (R, P, n) genes of the (R, n) records x, from their tapes."""
-    tape = tape_for(params, len(x), seed)
-    return initialize_population(x, tape.init_gates, tape.init_noise, params.mutation_rate)
+def populate_genes(x, params, seed=0):
+    """Generation 0's (R, P, n) genes of the (R, n) records x, as the
+    engine draws them."""
+    return populate(x, streams(len(x), seed), params)[0]
 
 
 class TestTape:
@@ -94,11 +161,11 @@ class TestTape:
         assert schedule(GaParams(population_size=1)) == [1]
         assert schedule(GaParams(population_size=5, removal_fraction=0.9)) == [5, 1]
 
-    def test_section_sizes(self):
+    def test_section_sizes(self, rng):
         # C = 12+9+7+5+4+3+3+2+2+1+1+0 pairs and M = 104 rows after select.
         n, pairs, rows = NUM_FEATURES, 49, 104
-        tape = tape_for(GaParams(), count=3)
-        assert tape.init_gates.shape == tape.init_noise.shape == (3, 31, n)
+        genes, tape = populate(rng.random((3, n)), streams(3, 0), GaParams())
+        assert genes.shape == (3, 32, n)
         assert tape.pair_gates.shape == tape.cuts.shape == (3, pairs)
         assert tape.row_gates.shape == tape.loci.shape == tape.deltas.shape == (3, rows)
         assert tape.cuts.min() >= 1 and tape.cuts.max() <= n - 1
@@ -122,18 +189,90 @@ class TestTape:
             assert np.array_equal(tape.cuts[i], replay.integers(1, NUM_FEATURES, pairs))
             assert np.array_equal(tape.loci[i], replay.integers(0, NUM_FEATURES, rows))
 
+    @pytest.mark.parametrize("sigma", [0.05, 1e308])
+    @pytest.mark.parametrize("population_size", [1, 2, 3, 32])
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**32 + 6, 2**63 + 11, 2**64 - 1])
+    @pytest.mark.parametrize("n", [2, NUM_FEATURES])
+    def test_streamed_draw_equals_oracle(self, rng, sigma, population_size, seed, n):
+        # The engine draws each record's gates and noise straight into its
+        # genes, and its cuts and loci from raw words; the genes and every
+        # section the generation loop reads equal the whole-tape draw bit for
+        # bit. Record i XORs into the seed's low bits, sigma 1e308 overflows
+        # the noise to +-inf, and at n = 2 every cut is 1, which numpy draws
+        # no word for.
+        params = GaParams(population_size=population_size, mutation_sigma=sigma, seed=seed)
+        x = rng.random((6, n))
+        genes, tape = populate(x, streams(6, seed), params)
+        oracle = oracle_tape(streams(6, seed), params, n)
+        assert genes.tobytes() == oracle_population(x, oracle, params.mutation_rate).tobytes()
+        for name in engine.Tape._fields:
+            got, expected = getattr(tape, name), getattr(oracle, name)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+
+    @staticmethod
+    def half(leftover, span):
+        """A 32-bit h with (h * span) mod 2**32 == leftover (even for an
+        even span)."""
+        odd, twos = span, 1
+        while odd % 2 == 0:
+            odd, twos = odd // 2, twos * 2
+        return (leftover // twos) * pow(odd, -1, 2**32 // twos) % 2**32
+
+    def test_rejected_halves_are_flagged(self):
+        # numpy's rule rejects a half h when (h * span) mod 2**32 is below
+        # 2**32 mod span: 7 for the cuts' span 37 and 6 for the loci's 38.
+        # Each record has three words, the halves of the first three for
+        # cuts and of the last three for loci; all sit at the threshold
+        # except the one set below it. Only the records with a half below are
+        # flagged, low or high half alike.
+        spans = np.repeat(np.array([37, 38], dtype=np.uint64), 3)
+        at = [self.half(7, 37)] * 3 + [self.half(6, 38)] * 3
+        below = {1: (0, self.half(6, 37)), 2: (1, self.half(0, 37)), 3: (5, self.half(4, 38)),
+                 4: (3, self.half(0, 38))}
+        halves = np.array([at] * 6, dtype=np.uint64)
+        for r, (i, h) in below.items():
+            halves[r, i] = h
+        words = halves[:, 0::2] | (halves[:, 1::2] << 32)
+        values, rejected = engine._bounded(words, spans)
+        assert rejected.tolist() == [r in below for r in range(6)]
+        assert np.array_equal(values, (halves * spans) >> 32)
+
+    def test_every_record_through_the_fallback(self, rng, monkeypatch):
+        # With every record flagged, each redraws its cuts and loci from its
+        # own stream through Generator.integers: the tape still equals the
+        # whole-tape draw, and the predictions those of the raw words.
+        m = random_model(rng, 30)
+        recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(12))
+        params = GaParams(seed=2**64 - 3)
+        expected = run_batch(recs, m, params)
+        bounded = engine._bounded
+        flagged = []
+
+        def all_rejected(words, spans):
+            values, _ = bounded(words, spans)
+            flagged.append(len(values))
+            return values, np.ones(len(values), dtype=bool)
+
+        monkeypatch.setattr(engine, "_bounded", all_rejected)
+        assert run_batch(recs, m, params) == expected
+        assert sum(flagged) == 12
+        x = rng.random((5, NUM_FEATURES))
+        _, tape = populate(x, streams(5, params.seed), params)
+        oracle = oracle_tape(streams(5, params.seed), params, NUM_FEATURES)
+        assert np.array_equal(tape.cuts, oracle.cuts) and np.array_equal(tape.loci, oracle.loci)
+
 
 class TestInitializePopulation:
     def test_size_one_is_exact_copy(self, rng):
         x = rng.random((2, NUM_FEATURES))
-        pop = populate(x, GaParams(population_size=1))
+        pop = populate_genes(x, GaParams(population_size=1))
         assert pop.shape == (2, 1, NUM_FEATURES)
         assert np.array_equal(pop[:, 0], x)
 
     def test_zero_sigma_copies_exactly(self, rng):
         # Every gene is gated through, and each noisy copy is the record.
         x = rng.random((2, NUM_FEATURES))
-        pop = populate(x, GaParams(mutation_sigma=0.0, mutation_rate=1.0))
+        pop = populate_genes(x, GaParams(mutation_sigma=0.0, mutation_rate=1.0))
         assert pop.shape == (2, 32, NUM_FEATURES)
         for r in range(2):
             for row in pop[r]:
@@ -142,12 +281,12 @@ class TestInitializePopulation:
     def test_seeded_runs_identical(self):
         x = np.tile(np.linspace(0, 1, NUM_FEATURES), (2, 1))
         p = GaParams()
-        assert np.array_equal(populate(x, p, seed=99), populate(x, p, seed=99))
-        assert not np.array_equal(populate(x, p, seed=99), populate(x, p, seed=98))
+        assert np.array_equal(populate_genes(x, p, seed=99), populate_genes(x, p, seed=99))
+        assert not np.array_equal(populate_genes(x, p, seed=99), populate_genes(x, p, seed=98))
 
     def test_candidate_zero_untouched(self, rng):
         x = rng.random((3, NUM_FEATURES))
-        pop = populate(x, GaParams())
+        pop = populate_genes(x, GaParams())
         assert np.array_equal(pop[:, 0], x)
 
     def test_gates_choose_the_noisy_genes(self, rng):
@@ -155,7 +294,7 @@ class TestInitializePopulation:
         params = GaParams()
         tape = tape_for(params, 3)
         gates, noise = tape.init_gates, tape.init_noise
-        pop = initialize_population(x, gates, noise, params.mutation_rate)
+        pop = populate_genes(x, params)
         hit = gates < params.mutation_rate
         assert 0 < hit.sum() < hit.size
         kept = np.broadcast_to(x[:, None, :], pop[:, 1:].shape)
@@ -164,7 +303,7 @@ class TestInitializePopulation:
 
     def test_genes_clamped(self):
         x = np.ones((2, NUM_FEATURES))
-        pop = populate(x, GaParams(mutation_sigma=5.0, mutation_rate=1.0))
+        pop = populate_genes(x, GaParams(mutation_sigma=5.0, mutation_rate=1.0))
         assert in_unit_cube(pop)
         assert not np.array_equal(pop[:, 1:], np.ones_like(pop[:, 1:]))
 
@@ -173,7 +312,7 @@ class TestInitializePopulation:
         # clamp maps it to 1 or 0, and (warnings being errors) nothing warns.
         x = rng.random((2, NUM_FEATURES))
         params = GaParams(mutation_sigma=1e308, mutation_rate=1.0)
-        pop = populate(x, params)
+        pop = populate_genes(x, params)
         assert in_unit_cube(pop)
         assert set(np.unique(pop[:, 1:])) == {0.0, 1.0}
         m = random_model(rng, 4)
@@ -289,7 +428,7 @@ class TestDecide:
     def test_swaps_are_gated_suffixes_and_hits_are_gated_rows(self):
         params = GaParams()
         tape = tape_for(params, 3)
-        swaps, hits = decide(tape, params)
+        swaps, hits = decide(tape, params, NUM_FEATURES)
         assert swaps.shape == (3, 49, NUM_FEATURES)
         for r in range(3):
             for k in range(49):
@@ -309,7 +448,7 @@ def masks(cuts):
 class TestCrossover:
     def test_zero_rate_is_noop(self, rng):
         params = GaParams(population_size=5, crossover_rate=0.0)
-        swaps, _ = decide(tape_for(params, 2), params)
+        swaps, _ = decide(tape_for(params, 2), params, NUM_FEATURES)
         genes = rng.random((2, 4, NUM_FEATURES))
         pop = genes.copy()
         crossover(pop, swaps[:, :2])
@@ -332,7 +471,7 @@ class TestCrossover:
         gates[:, :2] = [[0.1, 0.9], [0.9, 0.1]]
         cuts = tape.cuts.copy()
         cuts[:, :2] = [[5, 7], [11, 3]]
-        swaps, _ = decide(tape._replace(pair_gates=gates, cuts=cuts), params)
+        swaps, _ = decide(tape._replace(pair_gates=gates, cuts=cuts), params, NUM_FEATURES)
         genes = rng.random((2, 4, NUM_FEATURES))
         pop = genes.copy()
         crossover(pop, swaps[:, :2])
@@ -366,7 +505,7 @@ class TestMutate:
     def test_zero_rate_is_noop(self, rng):
         params = GaParams(population_size=5, mutation_rate=0.0)
         tape = tape_for(params, 2)
-        _, hits = decide(tape, params)
+        _, hits = decide(tape, params, NUM_FEATURES)
         genes = rng.random((2, 4, NUM_FEATURES))
         pop = genes.copy()
         mutate(pop, hits[:, :4], tape.loci[:, :4], tape.deltas[:, :4])
@@ -482,16 +621,17 @@ class TestDetect:
             mutation_sigma=mutation_sigma,
         )
         x = rng.random((records, NUM_FEATURES))
-        tape = tape_for(params, records, seed)
-        genes = initialize_population(x, tape.init_gates, tape.init_noise, params.mutation_rate)
+        genes, tape = populate(x, streams(records, seed), params)
         assert genes.shape == (records, population_size, NUM_FEATURES)
         assert in_unit_cube(genes)
         assert np.array_equal(genes[:, 0], x)
-        swaps, hits = decide(tape, params)
+        swaps, hits = decide(tape, params, NUM_FEATURES)
         pair = row = 0
         sizes = schedule(params)
         for size, survivors_size in zip(sizes, sizes[1:]):
-            fitness, nearest = kernels.batch_fitness(genes.reshape(-1, NUM_FEATURES), m.centroids, m.sq_norms, m.denoms)
+            fitness, nearest = kernels.batch_fitness(
+                genes.reshape(-1, NUM_FEATURES), m.centroids, m.sq_norms, m.denoms, weights_of(m)
+            )
             fitness = np.floor(4.0 * fitness).reshape(records, size)
             nearest = nearest.reshape(records, size)
             survivors, kept_fitness, kept_nearest = select(genes, fitness, nearest, params.removal_fraction)
@@ -616,9 +756,9 @@ class TestDetect:
         scans = []
         scan = kernels.batch_fitness
 
-        def counting(genes, centroids, sq_norms, denoms):
+        def counting(genes, centroids, *rest):
             scans.append((genes.shape[0], centroids.shape[0]))
-            return scan(genes, centroids, sq_norms, denoms)
+            return scan(genes, centroids, *rest)
 
         monkeypatch.setattr(kernels, "batch_fitness", counting)
         blocked = run_batch(recs, m, params)
@@ -634,15 +774,17 @@ def reference_search(x, rngs, model, params):
     every row. Returns (label, fitness, generations) per record."""
     sizes = schedule(params)
     count, n = x.shape
-    tape = draw_tape(rngs, params, n)
-    genes = initialize_population(x, tape.init_gates, tape.init_noise, params.mutation_rate)
-    swaps, hits = decide(tape, params)
+    tape = oracle_tape(rngs, params, n)
+    genes = oracle_population(x, tape, params.mutation_rate)
+    swaps, hits = decide(tape, params, n)
     bounds = kernels.record_bounds(x, model.centroids, model.sq_norms)
 
     def score(genes):
         cols = kernels.candidate_columns(kernels.reach(genes, x), *bounds, model.denoms, n)
+        denoms = model.denoms[cols]
+        weights = kernels.fitness_weights(denoms, n)
         fitness, idx = kernels.batch_fitness(
-            genes.reshape(-1, n), model.centroids[cols], model.sq_norms[cols], model.denoms[cols]
+            genes.reshape(-1, n), model.centroids[cols], model.sq_norms[cols], denoms, weights
         )
         return fitness.reshape(count, -1), cols[idx].reshape(count, -1)
 
@@ -725,9 +867,9 @@ class TestHeldKeepSet:
         scans, keeps = [], []
         scan, keep = kernels.batch_fitness, kernels.candidate_columns
 
-        def counting_scan(genes, centroids, sq_norms, denoms):
+        def counting_scan(genes, centroids, *rest):
             scans.append((genes.shape[0], centroids.shape[0]))
-            return scan(genes, centroids, sq_norms, denoms)
+            return scan(genes, centroids, *rest)
 
         def counting_keep(delta, *rest):
             keeps.append(delta.shape[0])
@@ -776,7 +918,7 @@ class TestHeldKeepSet:
 
 class TestRunBatch:
     # Records per block at P = 32 against the 8 chromosomes of these tests.
-    R = 34
+    R = 80
 
     def test_empty_input(self, rng):
         assert run_batch(dataset([]), random_model(rng, 3), GaParams()) == []
@@ -822,26 +964,30 @@ class TestRunBatch:
 
     def test_block_records_counts_tape_genes_and_bounds(self):
         # R shrinks as K grows, since each record holds (R, K) bound rows:
-        # about 33 records against a few dozen chromosomes, 19 at
+        # about 80 records against a few dozen chromosomes, 24 at
         # many-prototypes' K = 1,916, one at any K too large for a block.
         params = GaParams()
         assert engine._block_records(params, NUM_FEATURES, 8) == self.R
         sizes = [engine._block_records(params, NUM_FEATURES, k) for k in (29, 331, 1916, 5000, 10**6)]
-        assert sizes == [33, 30, 19, 11, 1]
+        assert sizes == [78, 57, 24, 11, 1]
         assert engine._block_records(GaParams(population_size=1), NUM_FEATURES, 1) > sizes[0]
 
     @pytest.mark.parametrize(
-        "records, pools", [(2, []), (2 * R + 1, [3])], ids=["one-block", "three-blocks"]
+        "records, step, pools", [(2, R, []), (3, 1, [3]), (2 * R + 1, R, [8])],
+        ids=["one-block", "three-blocks", "rounded-up"],
     )
-    def test_pool_no_larger_than_block_count(self, rng, monkeypatch, records, pools):
-        # At P = 32 a block holds R records. Two records are one block, so
-        # eight workers run it in this process; 2R + 1 records are three
-        # blocks, so they ask for three processes, not eight.
+    def test_pool_no_larger_than_block_count(self, rng, monkeypatch, records, step, pools):
+        # Two records are one block, so eight workers run it in this process.
+        # Three records of one-record blocks are three blocks, so they ask
+        # for three processes, not eight. 2R + 1 records are three blocks'
+        # worth, cut into eight equal blocks for eight processes.
+        monkeypatch.setattr(engine, "_block_records", lambda *args: step)
         assert self.pool_sizes(rng, monkeypatch, records=records, workers=8, cpus=8) == pools
 
     def test_pool_receives_whole_blocks(self, rng, monkeypatch):
-        # The batch is cut into blocks once: 3R + 1 records reach the search
-        # as blocks of R, R, R and 1, whatever the shares' split.
+        # The batch is cut into blocks once: 3R + 1 records are four blocks'
+        # worth, so three processes get six equal blocks, each whole, none
+        # above R records, whatever the shares' split.
         requested = self.spy_pool(monkeypatch, cpus=3)
         blocks = []
         search = engine._search
@@ -854,7 +1000,19 @@ class TestRunBatch:
         recs = dataset(record(rng.random(NUM_FEATURES)) for _ in range(3 * self.R + 1))
         run_batch(recs, random_model(rng, 8), GaParams(seed=11), workers=3)
         assert requested == [3]
-        assert blocks == [self.R, self.R, self.R, 1]
+        assert blocks == [40, 40, 40, 40, 40, 41]
+
+    def test_two_workers_get_equal_shares(self, rng, monkeypatch):
+        # 600 records at R = 78 are eight blocks of 75, so each of two
+        # processes detects 300 records.
+        tasks = []
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "map_tasks", lambda fn, blocks, workers: tasks.extend(blocks) or [])
+        run_batch(dataset(record(rng.random(NUM_FEATURES)) for _ in range(600)), random_model(rng, 29),
+                  GaParams(), workers=2)
+        assert [len(t) for t in tasks] == [75] * 8
+        shares = parallel._shares([len(t) for t in tasks], 2)
+        assert [sum(len(tasks[i]) for i in share) for share in shares] == [300, 300]
 
     @pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, [])])
     def test_pool_no_larger_than_cpu_count(self, rng, monkeypatch, cpus, pools):
@@ -881,8 +1039,8 @@ class TestRunBatch:
     @example(count=2 * R + 1, population_size=32, seed=0)
     def test_worker_counts_give_equal_output(self, count, population_size, seed):
         # Real fork-joins of up to three processes, allowed three CPUs whatever
-        # the host has; blocks hold 34 to 55 records, so a draw spans one to
-        # three blocks (the explicit example is three). The per-record
+        # the host has; blocks hold 80 to 129 records, so a draw spans one to
+        # three blocks' worth (the explicit example is three). The per-record
         # streams make every split agree.
         rng = record_rng(seed, 0)
         m = random_model(rng, 6)

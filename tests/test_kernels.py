@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -34,6 +34,13 @@ def loop_fitness(genes, centroids, spreads, eps):
     return out, idx
 
 
+def columns(m, cols=slice(None)):
+    """What batch_fitness scans of the model m's chromosomes cols: centroids,
+    squared norms, denominators and fitness weights."""
+    denoms = m.denoms[cols]
+    return m.centroids[cols], m.sq_norms[cols], denoms, kernels.fitness_weights(denoms, m.centroids.shape[1])
+
+
 def assert_matches_loop(genes, centroids, spreads=None):
     """batch_fitness over a one-group model built from `centroids` (row order
     kept) equals the reference loop bit for bit; returns its result."""
@@ -43,7 +50,7 @@ def assert_matches_loop(genes, centroids, spreads=None):
     spreads = np.asarray(spreads, dtype=np.float64)
     m = build_model(centroids, ["normal"] * len(centroids), spreads=spreads)
     genes = np.ascontiguousarray(genes, dtype=np.float64)
-    values, idx = kernels.batch_fitness(genes, m.centroids, m.sq_norms, m.denoms)
+    values, idx = kernels.batch_fitness(genes, *columns(m))
     expected_values, expected_idx = loop_fitness(genes, centroids, spreads, SPREAD_EPSILON)
     assert np.array_equal(values, expected_values)
     assert np.array_equal(idx, expected_idx)
@@ -158,9 +165,7 @@ def test_batch_fitness_matches_bruteforce(rng, population, chromosomes, features
     model = random_model(rng, chromosomes, num_features=features)
     genes = rng.random((population, features))
     genes[0] = model.centroids[-1]  # exact centroid hit
-    values, idx = kernels.batch_fitness(
-        genes, model.centroids, model.sq_norms, model.denoms
-    )
+    values, idx = kernels.batch_fitness(genes, *columns(model))
     assert values[0] == 0.0
     for g, value, k in zip(genes, values, idx):
         expected_value, expected_label = bruteforce_fitness(g, model)
@@ -229,11 +234,14 @@ GRID = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e-9, 0.5 + 1e-9, 0.3, 0.7])
 @st.composite
 def fitness_cases(draw):
     """Centroids and genes on a coarse grid (so ties and exact hits are
-    common), some genes copied from centroids, then scaled."""
+    common), some centroids copied from others and some genes from
+    centroids, then scaled."""
     n = draw(st.integers(1, 40))
     k = draw(st.integers(1, 30))
     p = draw(st.integers(1, 12))
     centroids = draw(arrays(np.float64, (k, n), elements=GRID))
+    for src in draw(st.lists(st.integers(0, k - 1), max_size=k)):
+        centroids[draw(st.integers(0, k - 1))] = centroids[src]
     genes = draw(arrays(np.float64, (p, n), elements=GRID))
     for i in draw(st.lists(st.integers(0, p - 1), max_size=p)):
         genes[i] = centroids[draw(st.integers(0, k - 1))]
@@ -242,6 +250,20 @@ def fitness_cases(draw):
     return genes * scale, centroids * scale, spreads
 
 
+GRID_ROWS = np.array([[0.0, 0.25, 0.5], [1.0, 0.3, 0.7], [0.5, 0.5, 0.5], [0.25, 1.0, 0.0]])
+
+
+# The kernel rescores a call's rows directly when each has one candidate, and
+# through the candidate pairs otherwise. The examples run both paths: rows
+# near distinct chromosomes (one candidate each), K = 1, duplicated
+# chromosomes with rows equal to one of them (ties), and a 1e200 spread whose
+# weight overflows to 0, so that its column is a candidate for every row,
+# alone (one candidate) and beside other chromosomes (ties).
+@example((GRID_ROWS[:3] + 0.01, GRID_ROWS, np.zeros(4)))
+@example((GRID_ROWS, GRID_ROWS[[1]], np.array([0.2])))
+@example((GRID_ROWS[[2, 0, 2]], GRID_ROWS[[2, 0, 2, 2]], np.full(4, 0.01)))
+@example((GRID_ROWS, GRID_ROWS[[3]], np.array([1e200])))
+@example((GRID_ROWS, GRID_ROWS, np.array([0.0, 1e200, 0.01, 0.2])))
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(fitness_cases())
 def test_batch_fitness_equals_loop_property(case):
@@ -260,7 +282,7 @@ def test_screened_scan_equals_direct_scan_property(case):
 def scan_columns(rows, m, cols):
     """batch_fitness over the columns cols of the model m, indices mapped
     back to the model's."""
-    values, idx = kernels.batch_fitness(rows, m.centroids[cols], m.sq_norms[cols], m.denoms[cols])
+    values, idx = kernels.batch_fitness(rows, *columns(m, cols))
     return values, cols[idx]
 
 
