@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     EmptyDataset,
+    GaidsError,
     MalformedRecord,
     NonNumericFeature,
     UnknownLabel,
@@ -35,8 +36,9 @@ SYMBOLIC_POSITIONS = (1, 2, 3)
 _NUMERIC_POSITIONS = tuple(p for p in range(NUM_RAW_FEATURES) if p not in SYMBOLIC_POSITIONS)
 _numeric_fields = operator.itemgetter(*_NUMERIC_POSITIONS)
 
-# Lines per np.loadtxt call: distinct lines in `read_records`, chromosome
-# rows in `model.load_model`. A block that holds a bad line is read again in
+# Lines per np.loadtxt call in `block_values`, the one reader of numbers: it
+# reads the distinct lines of `read_records` and the rows of
+# `model.load_model`. A block that holds a bad line is read again in
 # halves, so a larger block redoes more rows, and strict mode reads up to a
 # block past the first bad line; a smaller one makes more calls. On the
 # kdd-train file, 32 to 256 read within noise of each other (CHANGES.md).
@@ -243,52 +245,44 @@ def _parse_line(line: str, require_label: bool, row: int) -> tuple:
     return row, (None if label is None else sys.intern(label))
 
 
-def read_columns(texts: list[str], width: int, delimiter: str | None = None, usecols=None):
-    """The numbers of the lines as one (len(texts), width) float64 matrix,
-    by one np.loadtxt call, or None when a line does not read as `width`
-    numbers (`delimiter` None splits on whitespace). np.loadtxt converts a
-    number as float() does, and rejects some that float() accepts (`1_0`,
-    non-ASCII digits); it accepts none that float() rejects unless a field
-    holds one of _LOADTXT_SPACE."""
-    try:
-        values = np.loadtxt(texts, delimiter=delimiter, usecols=usecols, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return values if values.shape == (len(texts), width) else None
+def block_values(lines: list[str], width: int, delimiter, usecols, line_values):
+    """The numbers of the lines as a (len(lines), width) float64 matrix, and
+    (index, message) of each line `line_values` rejects; the row of such a
+    line is not meaningful. `line_values` is the float() reference: it
+    returns a line's `width` numbers or raises a GaidsError naming the
+    line's first bad token.
 
-
-def _block_values(lines: list[str]) -> tuple[np.ndarray, list[tuple[int, str]]]:
-    """The 38 numeric fields of each line that passed `_label`, as a
-    (len(lines), 38) matrix, and (index, message) of each line whose fields
-    are not 38 finite numbers; the row of such a line is not meaningful.
-
-    One `read_columns` call converts the block. If it fails, the block is
-    halved until each span that fails holds at most _SPAN_BY_LINE lines. The
-    lines of such a span, a row with a non-finite value, and a line holding
-    a character np.loadtxt and float() read differently go through
-    `_line_values`, which accepts what float() accepts and names the first
-    bad field."""
-    values = np.empty((len(lines), NUM_FEATURES))
-    spans = [(0, len(lines))]
+    np.loadtxt reads PARSE_ROWS lines per call (`delimiter` None splits on
+    whitespace). It converts a number as float() does, and rejects some
+    that float() accepts (`1_0`, non-ASCII digits); it accepts none that
+    float() rejects unless a field holds one of _LOADTXT_SPACE. A block that
+    does not read as `width` numbers a line is halved until each span that
+    fails holds at most _SPAN_BY_LINE lines. The lines of such a span, a
+    row with a non-finite value, and a line holding one of _LOADTXT_SPACE
+    go through `line_values`."""
+    values = np.empty((len(lines), width))
+    spans = [(lo, min(lo + PARSE_ROWS, len(lines))) for lo in reversed(range(0, len(lines), PARSE_ROWS))]
     while spans:
         lo, hi = spans.pop()
-        block = read_columns(lines[lo:hi], NUM_FEATURES, ",", _NUMERIC_POSITIONS)
-        if block is not None:
+        try:
+            block = np.loadtxt(lines[lo:hi], delimiter=delimiter, usecols=usecols, comments=None, ndmin=2)
+        except ValueError:
+            block = None
+        if block is not None and block.shape == (hi - lo, width):
             values[lo:hi] = block
+            text = "".join(lines[lo:hi])
+            if any(c in text for c in _LOADTXT_SPACE):
+                values[lo:hi][[any(c in line for c in _LOADTXT_SPACE) for line in lines[lo:hi]]] = math.nan
         elif hi - lo > _SPAN_BY_LINE:
             mid = (lo + hi) // 2
             spans += [(mid, hi), (lo, mid)]
         else:
             values[lo:hi] = math.nan
-    recheck = ~np.isfinite(values).all(axis=1)
-    text = "".join(lines)
-    if any(c in text for c in _LOADTXT_SPACE):
-        recheck |= [any(c in line for c in _LOADTXT_SPACE) for line in lines]
     errors = []
-    for i in np.flatnonzero(recheck).tolist():
+    for i in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist():
         try:
-            values[i] = _line_values(lines[i])
-        except NonNumericFeature as exc:
+            values[i] = line_values(lines[i])
+        except GaidsError as exc:
             errors.append((i, str(exc)))
     return values, errors
 
@@ -313,7 +307,7 @@ def read_records(
     index among the distinct lines and its name, or to its error's class
     and message, so a repeated line only appends its row index and name.
     The distinct lines that pass the shape checks are converted PARSE_ROWS
-    at a time, in file order, by `_block_values`; strict mode converts the
+    at a time, in file order, by `block_values`; strict mode converts the
     lines so far before it raises for a bad shape or name, so the error is
     always the first bad line's. The dict is dropped before the feature
     matrix is gathered from the distinct rows in file order; when every
@@ -332,7 +326,7 @@ def read_records(
         if not block:
             return
         start = len(distinct) // NUM_FEATURES
-        values, errors = _block_values(block)
+        values, errors = block_values(block, NUM_FEATURES, ",", _NUMERIC_POSITIONS, _line_values)
         if errors and strict:
             i, message = errors[0]
             raise NonNumericFeature(f"{source}:{block_linenos[i]}: {message}")

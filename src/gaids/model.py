@@ -25,11 +25,10 @@ from .errors import EmptyDataset, EmptyModel, ModelFormatError, ModelVersionMism
 from .ingest import (
     CATEGORIES,
     NUM_FEATURES,
-    PARSE_ROWS,
     Dataset,
     NormalizationStats,
     attack_category,
-    read_columns,
+    block_values,
 )
 
 MODEL_FORMAT_TAG = "gaids-model"
@@ -320,17 +319,28 @@ def load_model(path) -> ChromosomeModel:
     non-finite spread, non-finite value, centroid value outside [0,1], a
     feature minimum above its maximum or so far below it that the span
     overflows, a feature count other than NUM_FEATURES, non-ASCII bytes, no
-    chromosome rows). The rows are read by the column (`_row_columns`);
-    only a file that fails there is read row by row (`_checked_rows`), which
-    accepts what float() accepts and raises the first bad row's error."""
+    chromosome rows).
+
+    Each number is read once, by `ingest.block_values` with the float()
+    reference `_row_values` or `_chromosome_values`: the normalization rows,
+    then each chromosome row's spread and centroid, after its label,
+    category and count are split off. The chromosome rows are then checked
+    once, in file order, so a file with several bad rows raises its first
+    bad row's error. A row's checks run in this order: its token count, its
+    spread and centroid as float() reads them, its count, its category, the
+    range of its count and spread, and the category ingest gives its label.
+    Centroid values that are not finite or lie outside [0,1] are checked
+    after every row."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+            # Each line is split once, into its first three tokens and the
+            # text after them; the file's text is not held twice.
+            rows = [ln.split(None, 3) for ln in fh if ln.strip()]
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"not an ASCII file: {exc}") from None
-    if not lines:
+    if not rows:
         raise ModelFormatError("empty model file")
-    header = lines[0].split()
+    header = " ".join(rows[0]).split()
     if len(header) != 5 or header[0] != MODEL_FORMAT_TAG:
         raise ModelVersionMismatch(f"not a {MODEL_FORMAT_TAG} file")
     if header[1] != MODEL_FORMAT_VERSION:
@@ -347,24 +357,62 @@ def load_model(path) -> ChromosomeModel:
         raise ModelFormatError(
             f"model has {num_features} features per row, records have {NUM_FEATURES}"
         )
-    if len(lines) < 3:
+    if len(rows) < 3:
         raise ModelFormatError("missing normalization rows")
 
-    feat_min, feat_max = _check_values(
-        np.array([_parse_values(lines[-2].split()), _parse_values(lines[-1].split())])
+    norm, errors = block_values(
+        [" ".join(row) for row in rows[-2:]], NUM_FEATURES, None, None, _row_values
     )
-    normalization = NormalizationStats(feat_min=feat_min, feat_max=feat_max)
+    if errors:
+        raise ModelFormatError(errors[0][1])
+    if not np.isfinite(norm).all():
+        raise ModelFormatError("non-finite value in a model row")
+    normalization = NormalizationStats(feat_min=norm[0], feat_max=norm[1])
     bad = normalization.invalid_features()
     if bad.size:
         raise ModelFormatError(
             f"feature minimum exceeds maximum, or the span overflows, in column {int(bad[0])}"
         )
 
-    body = lines[1:-2]
-    columns = _row_columns(body)
-    if columns is None:
-        columns = _checked_rows(body)
-    labels, counts, spreads, centroids = columns
+    # A row's last part is the text after its count; a row of fewer than
+    # four tokens sends its last token, and the loop below rejects the row.
+    heads = rows[1:-2]
+    values, errors = block_values(
+        [head[-1] for head in heads], 1 + NUM_FEATURES, None, None, _chromosome_values
+    )
+    failed = dict(errors)
+    labels: list[str] = []
+    counts: list[int] = []
+    for i, (head, spread) in enumerate(zip(heads, values[:, 0].tolist())):
+        if len(head) != 4:
+            raise ModelFormatError(f"expected {4 + NUM_FEATURES} tokens per chromosome row, got {len(head)}")
+        if i in failed:
+            raise ModelFormatError(failed[i])
+        label, category, count, _ = head
+        try:
+            count = int(count)
+        except ValueError as exc:
+            raise ModelFormatError(f"bad chromosome row: {exc}") from None
+        if category not in CATEGORIES:
+            raise ModelFormatError(f"unknown category {category!r}")
+        if count < 1:
+            raise ModelFormatError(f"member count {count} is below 1")
+        if count > _INT64_MAX:
+            raise ModelFormatError(f"member count {count} does not fit in 64 bits")
+        if not 0.0 <= spread < math.inf:
+            raise ModelFormatError(f"spread {spread!r} is not a finite non-negative number")
+        expected = attack_category(label)
+        if category != expected:
+            raise ModelFormatError(
+                f"label {label!r} is listed under {category!r}; training gives it {expected!r}"
+            )
+        labels.append(label)
+        counts.append(count)
+    spreads, centroids = values[:, 0], values[:, 1:]
+    if not np.isfinite(centroids).all():
+        raise ModelFormatError("non-finite value in a model row")
+    if ((centroids < 0.0) | (centroids > 1.0)).any():
+        raise ModelFormatError("model row value outside [0,1]")
 
     # The model's training_size is this sum; checked first, because a file
     # without rows should fail on the header, not on the empty model.
@@ -382,7 +430,12 @@ def load_model(path) -> ChromosomeModel:
     )
 
 
-def _parse_values(tokens: list[str]) -> list[float]:
+def _row_values(line: str) -> list[float]:
+    """The NUM_FEATURES values of a normalization row or of a centroid by
+    float(), one token at a time: the reference `block_values` reads them
+    with. A row of another length, or a token float() rejects, raises
+    ModelFormatError."""
+    tokens = line.split()
     if len(tokens) != NUM_FEATURES:
         raise ModelFormatError(f"expected {NUM_FEATURES} values per row, got {len(tokens)}")
     try:
@@ -391,88 +444,17 @@ def _parse_values(tokens: list[str]) -> list[float]:
         raise ModelFormatError(f"bad value: {exc}") from None
 
 
-def _check_values(values: np.ndarray, low: float = -math.inf, high: float = math.inf) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise ModelFormatError("non-finite value in a model row")
-    if (values < low).any() or (values > high).any():
-        raise ModelFormatError(f"model row value outside [{low:g},{high:g}]")
-    return values
-
-
-def _row_columns(body: list[str]):
-    """The labels, member counts, spreads and centroids of the chromosome
-    rows, or None when a row fails a check of `_checked_rows` or does not
-    read as np.loadtxt. Each row's label, category and count are split off;
-    its spread and values go through one `read_columns` call per PARSE_ROWS
-    rows, and every check runs on the columns."""
-    width = 1 + NUM_FEATURES
-    values = np.empty((len(body), width))
-    labels: list[str] = []
-    counts: list[int] = []
-    pairs: set[tuple[str, str]] = set()  # (label, category)
-    for start in range(0, len(body), PARSE_ROWS):
-        heads = [ln.split(None, 3) for ln in body[start : start + PARSE_ROWS]]
-        if any(len(head) != 4 for head in heads):
-            return None
-        label, category, count, rest = zip(*heads)
-        block = read_columns(rest, width)
-        if block is None:
-            return None
-        values[start : start + len(block)] = block
-        labels += label
-        pairs.update(zip(label, category))
-        try:
-            counts += map(int, count)
-        except ValueError:
-            return None
-    spreads, centroids = values[:, 0], values[:, 1:]
-    if not (
-        all(category in CATEGORIES and category == attack_category(label) for label, category in pairs)
-        and 1 <= min(counts, default=1)
-        and max(counts, default=1) <= _INT64_MAX
-        and ((spreads >= 0.0) & (spreads < math.inf)).all()
-        and ((centroids >= 0.0) & (centroids <= 1.0)).all()
-    ):
-        return None
-    return labels, counts, spreads, centroids
-
-
-def _checked_rows(body: list[str]):
-    """`_row_columns`' result, row by row: the first row that fails a check
-    raises ModelFormatError, then a centroid value that is not finite or
-    lies outside [0,1]."""
-    centroids = np.empty((len(body), NUM_FEATURES), dtype=np.float64)
-    labels: list[str] = []
-    counts: list[int] = []
-    spreads: list[float] = []
-    for row, ln in enumerate(body):
-        tokens = ln.split()
-        if len(tokens) != 4 + NUM_FEATURES:
-            raise ModelFormatError(
-                f"expected {4 + NUM_FEATURES} tokens per chromosome row, got {len(tokens)}"
-            )
-        label, category = tokens[0], tokens[1]
-        try:
-            count = int(tokens[2])
-            spread = float(tokens[3])
-        except ValueError as exc:
-            raise ModelFormatError(f"bad chromosome row: {exc}") from None
-        if category not in CATEGORIES:
-            raise ModelFormatError(f"unknown category {category!r}")
-        if count < 1:
-            raise ModelFormatError(f"member count {count} is below 1")
-        if count > _INT64_MAX:
-            raise ModelFormatError(f"member count {count} does not fit in 64 bits")
-        if not 0.0 <= spread < math.inf:
-            raise ModelFormatError(f"spread {spread!r} is not a finite non-negative number")
-        expected = attack_category(label)
-        if category != expected:
-            raise ModelFormatError(
-                f"label {label!r} is listed under {category!r}; training gives it {expected!r}"
-            )
-        centroids[row] = _parse_values(tokens[4:])
-        labels.append(label)
-        counts.append(count)
-        spreads.append(spread)
-    _check_values(centroids, 0.0, 1.0)
-    return labels, counts, spreads, centroids
+def _chromosome_values(rest: str) -> list[float]:
+    """The spread and centroid of a chromosome row, from the text after its
+    count: the reference `block_values` reads the rows with. The row's
+    token count is checked first, then its spread, then `_row_values`."""
+    tokens = rest.split()
+    if len(tokens) != 1 + NUM_FEATURES:
+        raise ModelFormatError(
+            f"expected {4 + NUM_FEATURES} tokens per chromosome row, got {3 + len(tokens)}"
+        )
+    spread, centroid = rest.split(None, 1)
+    try:
+        return [float(spread), *_row_values(centroid)]
+    except ValueError as exc:
+        raise ModelFormatError(f"bad chromosome row: {exc}") from None

@@ -343,6 +343,13 @@ FUZZ_VALUES = [
     "1_0", "-0", "4.9e-324", "\x0c1", "\x1c1",
 ]
 ODD_LABELS = ["foo bar.", "normal. ", " smurf.", "\u00e9.", "\ufffd", "nor\x1fmal."]
+# Numbers float() reads: any from 0 to 1e308, subnormals, and digits
+# joined by underscores, which np.loadtxt rejects.
+NUMBER_TOKENS = st.one_of(
+    st.floats(0.0, 1e308).map(repr),
+    st.floats(0.0, 2.225073858507201e-308).map(repr),
+    st.from_regex(r"[0-9](_?[0-9]){0,4}(\.[0-9](_?[0-9]){0,4})?", fullmatch=True),
+)
 
 
 def reference_label(line):
@@ -380,7 +387,7 @@ def fuzzed_line(draw):
     fields = draw(st.sampled_from(REAL_LINES)).split(",")
     for _ in range(draw(st.integers(0, 2))):
         op = draw(st.sampled_from(
-            ["drop", "duplicate", "replace", "no-period", "unknown-name", "odd-label"]
+            ["drop", "duplicate", "replace", "number", "no-period", "unknown-name", "odd-label"]
         ))
         i = draw(st.integers(0, len(fields) - 2))
         if op == "drop":
@@ -389,6 +396,8 @@ def fuzzed_line(draw):
             fields.insert(i, fields[i])
         elif op == "replace":
             fields[i] = draw(st.sampled_from(FUZZ_VALUES))
+        elif op == "number":
+            fields[i] = draw(NUMBER_TOKENS)
         elif op == "no-period":
             fields[-1] = fields[-1].rstrip(".")
         elif op == "odd-label":

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaids import kernels, parallel
@@ -18,7 +18,14 @@ from gaids.errors import (
     ModelFormatError,
     ModelVersionMismatch,
 )
-from gaids.ingest import FALLBACK_CATEGORY, NUM_FEATURES, Dataset, NormalizationStats
+from gaids.ingest import (
+    FALLBACK_CATEGORY,
+    NUM_FEATURES,
+    PARSE_ROWS,
+    Dataset,
+    NormalizationStats,
+    attack_category,
+)
 from gaids.model import SPREAD_EPSILON, ChromosomeModel, load_model, precalculate, save_model
 
 from conftest import build_model, dataset, random_model, record
@@ -687,11 +694,12 @@ class TestPersistence:
             with pytest.raises(TypeError):
                 ChromosomeModel(**columns, **derived)
 
-    @pytest.mark.parametrize("variant", ["tabs", "double spaces", "spread 1_0"])
+    @pytest.mark.parametrize("variant", ["tabs", "double spaces", "U+001C", "spread 1_0", "centroid 1_0"])
     def test_loose_tokens_load_as_canonical(self, tmp_path, rng, variant):
         # A hand-edited file whose tokens are split by other whitespace, or
-        # whose spread is a number np.loadtxt does not read but float() does,
-        # loads to the model of the canonical file and saves its bytes.
+        # whose spread or centroid value (in a row past the first block of
+        # PARSE_ROWS rows) is a number np.loadtxt does not read but float()
+        # does, loads to the model of the canonical file and saves its bytes.
         labels = ["normal", "smurf", "zerg_rush"] * 30
         spreads = rng.random(len(labels))
         spreads[1] = 10.0
@@ -704,8 +712,14 @@ class TestPersistence:
             tokens = lines[row].split(" ")
             tokens[3] = "1_0"
             lines[row] = " ".join(tokens)
+        elif variant == "centroid 1_0":
+            row = 1 + PARSE_ROWS + 5
+            tokens = lines[row].split(" ")
+            value = tokens[9]  # a repr of a random float in [0,1), such as 0.75185...
+            tokens[9] = value[:3] + "_" + value[3:]
+            lines[row] = " ".join(tokens)
         else:
-            sep = "\t" if variant == "tabs" else "  "
+            sep = {"tabs": "\t", "double spaces": "  ", "U+001C": "\x1c"}[variant]
             lines = [sep.join(ln.split(" ")) for ln in lines]
         loose.write_text("\n".join(lines) + "\n")
         loaded, expected = load_model(loose), load_model(canonical)
@@ -769,6 +783,107 @@ class TestPersistence:
         save_model(m, path)
         with pytest.raises(ModelFormatError, match="span overflows, in column 4"):
             load_model(path)
+
+
+@pytest.mark.parametrize("rows", [(70, 100), (PARSE_ROWS - 1, PARSE_ROWS)])
+@pytest.mark.parametrize("faults", [("centroid", "category"), ("category", "centroid")])
+def test_first_bad_row_names_the_error(tmp_path, rng, rows, faults):
+    # Two bad rows of a 150-row file, each with a fault of another kind: an
+    # unparseable centroid value, or a category other than the one training
+    # gives the label. Whichever comes first in the file is named, as a
+    # reader that checked every row's label, category and count before any
+    # row's numbers would not do.
+    labels = ["normal", "smurf"] * 75
+    path = tmp_path / "m.model"
+    save_model(build_model(rng.random((len(labels), NUM_FEATURES)), labels), path)
+    lines = path.read_text().splitlines()
+    for row, fault in zip(rows, faults):
+        tokens = lines[1 + row].split(" ")
+        if fault == "centroid":
+            tokens[20] = "0.5x"
+        else:
+            tokens[1] = "probe"
+        lines[1 + row] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    message = {"centroid": "^bad value: .*'0.5x'", "category": "is listed under 'probe'"}
+    with pytest.raises(ModelFormatError, match=message[faults[0]]):
+        load_model(path)
+
+
+_INT64_MAX = 2**63 - 1
+# The smallest subnormal, one inside their range and the largest.
+SUBNORMALS = [5e-324, 1e-310, 2.225073858507201e-308]
+MODEL_LABELS = ["normal", "smurf", "back", "nmap", "guess_passwd", "perl", "zerg_rush", "x9"]
+
+
+def model_file(labels, counts, spreads, centroids, bounds, range_used, seps):
+    """(a model file with its chromosome rows in the order given, its
+    canonical file, the member counts). The file joins the tokens of its
+    line r by seps[(r + j) % len(seps)] at gap j; the canonical file is the
+    one save_model writes: single spaces, repr, and each label's rows
+    together, labels in first-sight order."""
+    header = ["gaids-model", "1", repr(range_used), str(sum(counts)), str(NUM_FEATURES)]
+    rows = [
+        [label, attack_category(label), str(count), repr(spread), *map(repr, centroid)]
+        for label, count, spread, centroid in zip(labels, counts, spreads, centroids)
+    ]
+    norm = [list(map(repr, row)) for row in bounds]
+    first = {label: k for k, label in enumerate(dict.fromkeys(labels))}
+    loose = "".join(
+        tokens[0] + "".join(seps[(r + j) % len(seps)] + t for j, t in enumerate(tokens[1:])) + "\n"
+        for r, tokens in enumerate([header, *rows, *norm])
+    )
+    canonical = [header, *sorted(rows, key=lambda row: first[row[0]]), *norm]
+    return loose, "".join(" ".join(tokens) + "\n" for tokens in canonical), counts
+
+
+@st.composite
+def model_files(draw):
+    """Well-formed model files whose header agrees with their rows: 1 to
+    150 rows, so several blocks of PARSE_ROWS; member counts from 1 to past
+    2**63 - 1; spreads from 0 to 1e308 and subnormals; centroid values in
+    [0,1] with 0, 1 and subnormals; unknown labels listed under
+    FALLBACK_CATEGORY; tokens joined by runs of spaces, tabs and U+001C to
+    U+001F."""
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    size = draw(st.integers(1, 150))
+    labels = [MODEL_LABELS[i] for i in rng.integers(0, draw(st.integers(1, len(MODEL_LABELS))), size)]
+    counts = rng.integers(1, draw(st.sampled_from([1, 1000, _INT64_MAX])), size, endpoint=True).tolist()
+    spreads = (rng.random(size) * 10.0 ** rng.integers(-300, 309, size)).tolist()
+    centroids = rng.random((size, NUM_FEATURES))
+    for _ in range(draw(st.integers(0, 3))):
+        counts[draw(st.integers(0, size - 1))] = draw(st.sampled_from([1, _INT64_MAX, _INT64_MAX + 1]))
+    for _ in range(draw(st.integers(0, 3))):
+        spreads[draw(st.integers(0, size - 1))] = draw(st.sampled_from([0.0, 1e308, *SUBNORMALS]))
+    for _ in range(draw(st.integers(0, 6))):
+        row, col = draw(st.integers(0, size - 1)), draw(st.integers(0, NUM_FEATURES - 1))
+        centroids[row, col] = draw(st.sampled_from([0.0, 1.0, *SUBNORMALS]))
+    low = rng.uniform(-1e3, 1e3, NUM_FEATURES)
+    bounds = [low.tolist(), (low + rng.random(NUM_FEATURES) * 1e3).tolist()]
+    range_used = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e308)))
+    seps = draw(st.lists(st.text(" \t\x1c\x1d\x1e\x1f", min_size=1, max_size=3), min_size=1, max_size=4))
+    return model_file(labels, counts, spreads, centroids.tolist(), bounds, range_used, seps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(model_files())
+@example(model_file(
+    ["zerg_rush"], [_INT64_MAX + 1], [0.0], [[0.5] * NUM_FEATURES],
+    [[0.0] * NUM_FEATURES, [1.0] * NUM_FEATURES], 0.125, [" "],
+))
+def test_model_files_load_as_canonical(case):
+    # A well-formed model file loads and saves the bytes of its canonical
+    # file, unless a member count does not fit in 64 bits.
+    text, canonical, counts = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, resaved = Path(tmp) / "a.model", Path(tmp) / "b.model"
+        path.write_text(text)
+        if max(counts) > _INT64_MAX:
+            with pytest.raises(ModelFormatError, match="does not fit in 64 bits"):
+                load_model(path)
+            return
+        save_model(load_model(path), resaved)
+        assert resaved.read_text() == canonical
 
 
 def test_import_loads_no_engine_or_pools():
