@@ -37,19 +37,13 @@ _NUMERIC_POSITIONS = tuple(p for p in range(NUM_RAW_FEATURES) if p not in SYMBOL
 _numeric_fields = operator.itemgetter(*_NUMERIC_POSITIONS)
 
 # Lines per np.loadtxt call in `block_values`, the one reader of numbers: it
-# reads the distinct lines of `read_records` and the rows of
-# `model.load_model`. A block that holds a bad line is read again in
-# halves, so a larger block redoes more rows, and strict mode reads up to a
-# block past the first bad line; a smaller one makes more calls. On the
-# kdd-train file, 32 to 256 read within noise of each other (CHANGES.md).
+# reads the distinct lines of `read_records` and the chromosome rows of
+# `model.load_model`. Every line of a block np.loadtxt rejects goes through
+# float(), so a larger block sends more lines to float() per bad line, and
+# strict mode reads up to a block past the first bad line; a smaller one
+# makes more calls. On the kdd-train file, 32 to 256 read within noise of
+# each other (CHANGES.md).
 PARSE_ROWS = 64
-
-# A block np.loadtxt cannot read is halved, but a failed span of at most this
-# many lines goes through float() line by line: a failed call costs about as
-# much as float() on two lines, and halving down to single lines made a
-# lenient file whose every line holds a bad number read 4.3x slower than
-# float() alone (CHANGES.md).
-_SPAN_BY_LINE = 16
 
 # U+001C to U+001F: str.isspace() holds for them, and np.loadtxt strips them
 # from a number's ends, but float() rejects them.
@@ -252,32 +246,27 @@ def block_values(lines: list[str], width: int, delimiter, usecols, line_values):
     returns a line's `width` numbers or raises a GaidsError naming the
     line's first bad token.
 
-    np.loadtxt reads PARSE_ROWS lines per call (`delimiter` None splits on
-    whitespace). It converts a number as float() does, and rejects some
-    that float() accepts (`1_0`, non-ASCII digits); it accepts none that
-    float() rejects unless a field holds one of _LOADTXT_SPACE. A block that
-    does not read as `width` numbers a line is halved until each span that
-    fails holds at most _SPAN_BY_LINE lines. The lines of such a span, a
+    np.loadtxt reads each block of PARSE_ROWS lines in one call (`delimiter`
+    None splits on whitespace). It converts a number as float() does, and
+    rejects some that float() accepts (`1_0`, non-ASCII digits); it accepts
+    none that float() rejects unless a field holds one of _LOADTXT_SPACE.
+    Every line of a block that does not read as `width` numbers a line, a
     row with a non-finite value, and a line holding one of _LOADTXT_SPACE
     go through `line_values`."""
     values = np.empty((len(lines), width))
-    spans = [(lo, min(lo + PARSE_ROWS, len(lines))) for lo in reversed(range(0, len(lines), PARSE_ROWS))]
-    while spans:
-        lo, hi = spans.pop()
+    for lo in range(0, len(lines), PARSE_ROWS):
+        chunk, out = lines[lo : lo + PARSE_ROWS], values[lo : lo + PARSE_ROWS]
         try:
-            block = np.loadtxt(lines[lo:hi], delimiter=delimiter, usecols=usecols, comments=None, ndmin=2)
+            block = np.loadtxt(chunk, delimiter=delimiter, usecols=usecols, comments=None, ndmin=2)
         except ValueError:
             block = None
-        if block is not None and block.shape == (hi - lo, width):
-            values[lo:hi] = block
-            text = "".join(lines[lo:hi])
+        if block is not None and block.shape == out.shape:
+            out[:] = block
+            text = "".join(chunk)
             if any(c in text for c in _LOADTXT_SPACE):
-                values[lo:hi][[any(c in line for c in _LOADTXT_SPACE) for line in lines[lo:hi]]] = math.nan
-        elif hi - lo > _SPAN_BY_LINE:
-            mid = (lo + hi) // 2
-            spans += [(mid, hi), (lo, mid)]
+                out[[any(c in line for c in _LOADTXT_SPACE) for line in chunk]] = math.nan
         else:
-            values[lo:hi] = math.nan
+            out[:] = math.nan
     errors = []
     for i in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist():
         try:

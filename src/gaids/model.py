@@ -321,10 +321,10 @@ def load_model(path) -> ChromosomeModel:
     overflows, a feature count other than NUM_FEATURES, non-ASCII bytes, no
     chromosome rows).
 
-    Each number is read once, by `ingest.block_values` with the float()
-    reference `_row_values` or `_chromosome_values`: the normalization rows,
+    Each number is read once: the two normalization rows by `_row_values`,
     then each chromosome row's spread and centroid, after its label,
-    category and count are split off. The chromosome rows are then checked
+    category and count are split off, by `ingest.block_values` with the
+    float() reference `_chromosome_values`. The chromosome rows are checked
     once, in file order, so a file with several bad rows raises its first
     bad row's error. A row's checks run in this order: its token count, its
     spread and centroid as float() reads them, its count, its category, the
@@ -360,11 +360,7 @@ def load_model(path) -> ChromosomeModel:
     if len(rows) < 3:
         raise ModelFormatError("missing normalization rows")
 
-    norm, errors = block_values(
-        [" ".join(row) for row in rows[-2:]], NUM_FEATURES, None, None, _row_values
-    )
-    if errors:
-        raise ModelFormatError(errors[0][1])
+    norm = np.array([_row_values(" ".join(row)) for row in rows[-2:]])
     if not np.isfinite(norm).all():
         raise ModelFormatError("non-finite value in a model row")
     normalization = NormalizationStats(feat_min=norm[0], feat_max=norm[1])
@@ -432,9 +428,8 @@ def load_model(path) -> ChromosomeModel:
 
 def _row_values(line: str) -> list[float]:
     """The NUM_FEATURES values of a normalization row or of a centroid by
-    float(), one token at a time: the reference `block_values` reads them
-    with. A row of another length, or a token float() rejects, raises
-    ModelFormatError."""
+    float(), one token at a time. A row of another length, or a token
+    float() rejects, raises ModelFormatError."""
     tokens = line.split()
     if len(tokens) != NUM_FEATURES:
         raise ModelFormatError(f"expected {NUM_FEATURES} values per row, got {len(tokens)}")

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -665,6 +666,19 @@ def quiet_main(*argv):
         return main(list(argv))
 
 
+def checked_detect(model_path, test_file):
+    """The exit code of `gaids detect`; when it is 0, each printed row's
+    survivor fitness, its fourth field, must read as a finite float. Only
+    that field is read: a fuzzed label can be the token `nan`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["detect", "--model", str(model_path), "--test-file", str(test_file)])
+    if code == EXIT_OK:
+        for row in out.getvalue().splitlines():
+            assert math.isfinite(float(row.split(",")[3])), row
+    return code
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(target=st.sampled_from(["data", "model"]), edits=fuzz_edits)
 # The label of the first data line becomes two tokens, or a non-ASCII one;
@@ -682,14 +696,14 @@ def test_fuzzed_files_exit_with_documented_codes(fuzz_files, target, edits):
     if target == "model":
         bad_model = tmp / "fuzzed.model"
         bad_model.write_text(mutate(model_path.read_text(), " ", edits), encoding="utf-8")
-        for command in ("detect", "evaluate"):
-            assert quiet_main(command, "--model", str(bad_model), "--test-file", str(data)) in documented
+        assert checked_detect(bad_model, data) in documented
+        assert quiet_main("evaluate", "--model", str(bad_model), "--test-file", str(data)) in documented
         return
 
     bad_data = tmp / "fuzzed.kdd"
     bad_data.write_text(mutate(data.read_text(), ",", edits), encoding="utf-8")
-    for command in ("detect", "evaluate"):
-        assert quiet_main(command, "--model", str(model_path), "--test-file", str(bad_data)) in documented
+    assert checked_detect(model_path, bad_data) in documented
+    assert quiet_main("evaluate", "--model", str(model_path), "--test-file", str(bad_data)) in documented
     for mode in ("--strict", "--lenient"):
         trained = tmp / "trained.model"
         trained.unlink(missing_ok=True)
@@ -697,7 +711,7 @@ def test_fuzzed_files_exit_with_documented_codes(fuzz_files, target, edits):
         assert code in documented
         if code == EXIT_OK:
             # Whatever training accepts, detection accepts as a model.
-            assert quiet_main("detect", "--model", str(trained), "--test-file", str(data)) == EXIT_OK
+            assert checked_detect(trained, data) == EXIT_OK
 
 
 # -- shared settings drawn at random through the whole CLI --------------------
@@ -706,14 +720,14 @@ def test_fuzzed_files_exit_with_documented_codes(fuzz_files, target, edits):
 # --population-size at most 64, so no example starts many processes or
 # allocates much memory.
 SETTING_TEXTS = {
-    "range": (["0", "0.125", "0.3"], ["-1", "nan", "inf", "-inf", "x"]),
-    "crossover-rate": (["0", "0.5", "1"], ["1.5", "-0.1", "nan", "x"]),
+    "range": (["0", "0.125", "0.3", "1e308"], ["-1", "nan", "inf", "-inf", "x", "1e309"]),
+    "crossover-rate": (["0", "0.5", "1", "-0"], ["1.5", "-0.1", "nan", "x"]),
     "mutation-rate": (["0", "0.35", "1"], ["2", "-1", "inf", "x"]),
-    "population-size": (["1", "8", "64"], ["0", "-3", "1.5", "x"]),
+    "population-size": (["1", "8", "64", "1_0"], ["0", "-3", "1.5", "x", "1e3"]),
     "removal-fraction": (["0.25", "0.75"], ["0", "1", "1.5", "nan", "x"]),
-    "max-generations": (["1", "64"], ["0", "-2", "x"]),
-    "mutation-sigma": (["0", "0.05", "1"], ["-0.5", "nan", "inf", "x"]),
-    "seed": (["0", "7", str(2**64 - 1)], [str(2**64), "-1", "x"]),
+    "max-generations": (["1", "64", "99999999999999999999"], ["0", "-2", "x"]),
+    "mutation-sigma": (["0", "0.05", "1", "1e308"], ["-0.5", "nan", "inf", "x"]),
+    "seed": (["0", "7", str(2**64 - 1), "1_0"], [str(2**64), "-1", "x", "0x10"]),
     "workers": (["1", "2"], ["0", "-1", "x"]),
     "report": (["table", "kv"], ["html", "TABLE", ""]),
     "strict": (["true", "false"], ["maybe", "2"]),
@@ -765,6 +779,13 @@ def run_with_settings(tmp, argv, settings, shadow=False):
 @example(settings=[("seed", str(2**64), False, "flag")])
 @example(settings=[("report", "html", False, "config"), ("workers", "2", True, "flag")])
 @example(settings=[("report", "kv", True, "flag"), ("population-size", "64", True, "config")])
+# Texts at the bounds: the largest finite float, -0, a count past 64 bits,
+# underscores (int() reads them), and an exponent or hex prefix int() rejects.
+@example(settings=[("range", "1e308", True, "config"), ("max-generations", "99999999999999999999", True, "flag"), ("seed", "1_0", True, "config")])
+@example(settings=[("crossover-rate", "-0", True, "flag"), ("mutation-sigma", "1e308", True, "config"), ("population-size", "1_0", True, "flag")])
+@example(settings=[("range", "1e309", False, "flag")])
+@example(settings=[("population-size", "1e3", False, "config")])
+@example(settings=[("seed", "0x10", False, "config")])
 def test_shared_settings_exit_codes_and_sources(fuzz_files, settings):
     tmp, data, model_path = fuzz_files
     expected = EXIT_OK if all(valid for _, _, valid, _ in settings) else EXIT_CONFIG

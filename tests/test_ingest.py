@@ -530,6 +530,27 @@ def test_bad_lines_across_conversion_blocks():
         assert_file_matches_reference([text.get(line, line) for line in lines])
 
 
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (numbered_line(0).replace(",5,", ",oops,", 1), NonNumericFeature),
+        ("1,2,3", MalformedRecord),
+        (numbered_line(0, "zerg_rush."), UnknownLabel),
+    ],
+)
+def test_strict_stops_within_a_block_of_the_first_bad_line(bad, error):
+    # Strict mode converts at most PARSE_ROWS distinct lines before it
+    # raises, so it never asks for the line after a full block.
+    def lines():
+        yield bad
+        for i in range(1, ingest.PARSE_ROWS):
+            yield numbered_line(i)
+        pytest.fail("strict read_records read past the block of its first bad line")
+
+    with pytest.raises(error, match="^f.kdd:1: "):
+        read_records(lines(), source="f.kdd")
+
+
 @pytest.mark.parametrize("lines", [["", "  ", "\r\n"], ["1,2,3", _BAD_LINE, _BAD_LINE]])
 def test_file_without_rows_reads_empty_matrix(lines):
     with warnings.catch_warnings():
