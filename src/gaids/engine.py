@@ -432,5 +432,9 @@ def run_batch(
         processes = min(workers, parallel.available_cpus())
         blocks = min(count, -(-blocks // processes) * processes)
     tasks = [range(count * b // blocks, count * (b + 1) // blocks) for b in range(blocks)]
+    # numpy loads numpy.random at its first use (`record_rng`). Load it here,
+    # before map_tasks forks, so that the workers do not each import it; not
+    # at module import, as `gaids train` never draws.
+    import numpy.random  # noqa: F401
     parts = parallel.map_tasks(partial(_detect_block, model, params, records.features), tasks, workers)
     return [p for part in parts for p in part]

@@ -46,7 +46,8 @@ BLOCK_ROWS = 1024
 # start one `kernels.record_bounds` call brackets each record's distance to
 # every chromosome of its label. Larger blocks make fewer calls but let more
 # merges loosen the bounds, so more records fall back to the direct scan.
-# The sweep of scripts/bench_train_bounds.py (BENCH_train_bounds.json) sets it.
+# BENCH_train_bounds.json holds the sweep that set it, made by
+# scripts/bench_train_bounds.py as of commit 2b06693.
 BOUND_ROWS = 64
 
 # The largest member count a model holds: `member_counts` is int64.

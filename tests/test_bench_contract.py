@@ -226,7 +226,6 @@ def test_bench_script_help_exits_ok(script):
 @pytest.mark.parametrize("script, argv", [
     ("bench_train_workers.py", ["--rounds", "1"]),
     ("bench_train_workers.py", ["--rounds", "3"]),
-    ("bench_train_bounds.py", ["--rounds", "0"]),
     ("bench_detect.py", ["--parent", str(ROOT), "--repeats", "0"]),
     ("bench_fixed_cost.py", ["--parent", str(ROOT), "--pairs", "3"]),
     ("bench_perfbench.py", ["--parent", str(ROOT), "--pairs", "3"]),

@@ -1,9 +1,11 @@
 """The rules that every scripts/bench_*.py measurement takes from
 scripts/harness.py: the alternating run order, the pair summary with its gain
-rule and bound check, and the run header's command line."""
+rule and bound check, and the run header's command line; and README's table
+of the scripts."""
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -125,7 +127,6 @@ def test_compare_names_the_pair_keys():
      {"parent": Path("/a"), "change": Path("/b"), "seed": 5, "pairs": 10, "out": "x"}),
     ("BENCH_detect.json", "bench_detect.py",
      {"parent": Path("/a"), "change": Path("/b"), "seed": 5, "pairs": 10, "out": "x", "repeats": 5}),
-    ("BENCH_train_bounds.json", "bench_train_bounds.py", {"seeds": [5, 11, 12, 13], "rounds": 7, "out": "x"}),
 ])
 def test_header_writes_the_command_as_the_committed_files_do(monkeypatch, bench, script, options):
     monkeypatch.setattr(sys, "argv", [str(ROOT / "scripts" / script)])
@@ -134,3 +135,11 @@ def test_header_writes_the_command_as_the_committed_files_do(monkeypatch, bench,
     assert header["nproc"] >= 1
     assert header["numpy"] == harness.version("numpy") is not None
     assert harness.version("no-such-distribution") is None
+
+
+def test_readme_lists_each_bench_script_once():
+    # README's "Measuring a change" table has one row for each
+    # scripts/bench_*.py, and each row names a script that exists.
+    section = (ROOT / "README.md").read_text().split("\n## Measuring a change\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(scripts/[^`]+)` \|", section, re.M)
+    assert sorted(rows) == sorted(f"scripts/{p.name}" for p in (ROOT / "scripts").glob("bench_*.py"))

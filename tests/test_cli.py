@@ -18,6 +18,8 @@ from gaids.model import load_model
 from gaids.synth import generate_lines
 
 from conftest import REAL_LINES
+from test_ingest import fuzzed_file
+from test_model import model_files
 
 # README's exit codes for a data error and a model error.
 EXIT_PARSE, EXIT_MODEL = 3, 4
@@ -660,10 +662,17 @@ def fuzz_files(tmp_path_factory):
     return tmp, data, model_path
 
 
+def captured_main(*argv):
+    """(exit code, stdout, stderr) of cli.main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
 def quiet_main(*argv):
     """cli.main with its printed output discarded; returns the exit code."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(list(argv))
+    return captured_main(*argv)[0]
 
 
 def checked_detect(model_path, test_file):
@@ -712,6 +721,39 @@ def test_fuzzed_files_exit_with_documented_codes(fuzz_files, target, edits):
         if code == EXIT_OK:
             # Whatever training accepts, detection accepts as a model.
             assert checked_detect(trained, data) == EXIT_OK
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=model_files(), lines=fuzzed_file(), mode=st.sampled_from(["--strict", "--lenient"]),
+       workers=st.sampled_from(["1", "2"]))
+def test_generated_files_exit_with_documented_codes(fuzz_files, case, lines, mode, workers):
+    # The well-formed model files of test_model_files_load_as_canonical and
+    # the data lines of test_parser_matches_reference (fields dropped or
+    # repeated, numbers from 0 to 1e308 and subnormals, labels with and
+    # without their trailing period) through train, detect and evaluate:
+    # each exits with a documented code and no traceback, and no survivor
+    # fitness is nan.
+    tmp = fuzz_files[0]
+    data, generated, trained = tmp / "generated.kdd", tmp / "generated.model", tmp / "trained.model"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    generated.write_text(case[0])
+    documented = {EXIT_OK, EXIT_CONFIG, EXIT_PARSE, EXIT_MODEL}
+    models = [generated]
+    for train_mode in ("--strict", "--lenient"):
+        trained.unlink(missing_ok=True)
+        code, _, err = captured_main("train", train_mode, "--train-file", data, "--model", trained,
+                                     "--workers", workers)
+        assert code in documented and "Traceback" not in err, err
+    if code == EXIT_OK:  # the lenient model; a strict run that trains writes the same
+        models.append(trained)
+    for model_path in models:
+        for command in ("detect", "evaluate"):
+            code, out, err = captured_main(command, mode, "--model", model_path, "--test-file", data,
+                                           "--workers", workers)
+            assert code in documented and "Traceback" not in err, err
+            if command == "detect" and code == EXIT_OK:
+                for row in out.splitlines():
+                    assert not math.isnan(float(row.split(",")[3])), row
 
 
 # -- shared settings drawn at random through the whole CLI --------------------
@@ -989,7 +1031,7 @@ def test_import_loads_no_pools_reporting_or_synth():
     # machinery, the reports and the generator load only where they run,
     # a fork-join imports no pool machinery either, and nothing loads the
     # logging framework.
-    heavy = ["concurrent.futures", "multiprocessing", "gaids.metrics", "gaids.synth", "logging"]
+    heavy = ["concurrent.futures", "multiprocessing", "gaids.metrics", "gaids.synth", "logging", "numpy.random"]
     probe = (
         "import sys, gaids.cli; from gaids import parallel; "
         "assert parallel.map_tasks(len, ['ab', 'abc'], 2) == [2, 3]; "
@@ -1000,6 +1042,33 @@ def test_import_loads_no_pools_reporting_or_synth():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def numpy_random_imports(*argv):
+    """The `| numpy.random` lines `python -X importtime` writes for `gaids
+    argv...` run through cli.run with two CPUs available: one for each
+    process that imports it, forked workers included."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys; from gaids import parallel; parallel.available_cpus = lambda: 2; "
+        "from gaids.cli import run; sys.argv[0] = 'gaids'; run()"
+    )
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", script, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return [line for line in proc.stderr.splitlines() if line.split("|")[-1].strip() == "numpy.random"]
+
+
+@pytest.mark.parametrize("command, imports", [("train", 0), ("evaluate", 1)])
+def test_numpy_random_loads_once_and_only_to_detect(trained, command, imports):
+    # numpy.random loads at the first draw. `gaids train` never draws, and
+    # run_batch loads it before its workers fork, so that each does not
+    # import it again.
+    model_path, test = trained
+    blocks = several_blocks(test.parent)
+    argv = (["train", "--train-file", blocks, "--model", test.parent / "again.model"] if command == "train"
+            else ["evaluate", "--model", model_path, "--test-file", blocks])
+    assert len(numpy_random_imports(*argv, "--workers", "2")) == imports
 
 
 @pytest.mark.parametrize("setting", [None, "2"])
